@@ -40,6 +40,10 @@
 // stall surfaces in the p99/max columns, and the driver fails if async
 // ingest p99 with retrains firing exceeds 5x the no-retrain baseline.
 //
+// The crc32 table prices the checksum every binary format verifies: the
+// slicing-by-8 table against the dispatched path, in bytes/s; the run fails
+// if the two ever disagree.
+//
 // Runs under the shared benchkit CLI (see --help). Naive and ring cases at
 // one sweep point share the same derived data seed — the before/after
 // comparison requires identical input — while distinct sweep points get
@@ -61,6 +65,7 @@
 
 #include "baselines/registry.hpp"
 #include "benchkit/benchkit.hpp"
+#include "common/cpu.hpp"
 #include "common/matrix.hpp"
 #include "common/ring_matrix.hpp"
 #include "common/rng.hpp"
@@ -795,6 +800,50 @@ int bench_run(Runner& run) {
                      "reference at n=1024\n", speedup);
         return 1;
       }
+    }
+  }
+
+  // CRC32: every CSMB, CSMF, CSMR and ModelPack read checksums its bytes.
+  // The slicing-by-8 table against the dispatched path (the PCLMULQDQ fold
+  // on x86-64 CPUs that have it), in bytes/s, at a small frame, a CSMR
+  // sample's 4 KiB and a bulk 1 MiB. Both must return the same checksum.
+  {
+    std::printf("\n== CRC32: slicing-by-8 table vs dispatched ==\n");
+    std::printf("%10s %16s %16s %9s\n", "bytes", "table (B/s)",
+                "dispatched (B/s)", "speedup");
+    for (const std::size_t len : {std::size_t{256}, std::size_t{4096},
+                                  std::size_t{1} << 20}) {
+      const std::string point = "bytes=" + std::to_string(len);
+      const std::uint64_t seed = run.derive_seed("crc32/" + point);
+      common::Rng rng(seed);
+      std::vector<std::uint8_t> buf(len);
+      for (std::uint8_t& b : buf) {
+        b = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+      std::uint32_t table_crc = 0;
+      std::uint32_t fast_crc = 0;
+      CaseResult& table = run.bench_loop("crc32-table/" + point, [&] {
+        table_crc = core::codec::crc32_with(common::Isa::kScalar, buf, 0);
+      });
+      CaseResult& fast = run.bench_loop("crc32/" + point, [&] {
+        fast_crc = core::codec::crc32(buf);
+      });
+      for (CaseResult* c : {&table, &fast}) {
+        c->seed = seed;
+        c->items = static_cast<double>(len);
+        c->items_per_sec = static_cast<double>(len) / c->wall_seconds;
+        c->param("bytes", std::to_string(len));
+      }
+      if (table_crc != fast_crc) {
+        std::fprintf(stderr,
+                     "FAIL: dispatched crc32 differs from the table at %s\n",
+                     point.c_str());
+        return 1;
+      }
+      const double speedup = fast.items_per_sec / table.items_per_sec;
+      fast.metric("speedup_vs_table", speedup);
+      std::printf("%10zu %16.3g %16.3g %8.1fx\n", len, table.items_per_sec,
+                  fast.items_per_sec, speedup);
     }
   }
 

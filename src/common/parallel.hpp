@@ -24,11 +24,12 @@ inline int parallel_thread_count() noexcept {
 }
 
 /// Runs body(i) for every i in [0, n), potentially in parallel. The body must
-/// not throw and iterations must be independent.
+/// not throw and iterations must be independent. A single iteration runs on
+/// the calling thread: waking a thread team for it costs more than it saves.
 template <typename Body>
 void parallel_for(std::size_t n, const Body& body) {
 #if defined(_OPENMP)
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (n > 1)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
     body(static_cast<std::size_t>(i));
   }
@@ -42,7 +43,7 @@ void parallel_for(std::size_t n, const Body& body) {
 template <typename Body>
 void parallel_for_dynamic(std::size_t n, const Body& body) {
 #if defined(_OPENMP)
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(dynamic) if (n > 1)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
     body(static_cast<std::size_t>(i));
   }

@@ -61,47 +61,6 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
-std::uint16_t load_u16(const std::uint8_t* p) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint16_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    return static_cast<std::uint16_t>(
-        static_cast<std::uint16_t>(p[0]) |
-        (static_cast<std::uint16_t>(p[1]) << 8));
-  }
-}
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  // Little-endian hosts read the wire format in place; others assemble it.
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
-}
-
 namespace {
 
 // --- binary field type tags -------------------------------------------------
@@ -179,49 +138,6 @@ std::size_t clamped_reserve(std::uint64_t count) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  return crc32(data, 0);
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prior) {
-  // Slicing-by-8: eight derived tables let the hot loop fold 8 input bytes
-  // per iteration instead of one, which matters when every ModelPack record
-  // load CRC-checks its bytes. The wire CRC is unchanged — table 0 is the
-  // classic byte-at-a-time table and handles the tail.
-  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[0][i] = c;
-    }
-    for (std::size_t k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
-      }
-    }
-    return t;
-  }();
-  // prior == 0 yields the classic ~0 initial state; any other prior value
-  // un-finalises so feeding the next chunk continues the same checksum.
-  std::uint32_t crc = prior ^ 0xFFFFFFFFu;
-  std::size_t i = 0;
-  for (; i + 8 <= data.size(); i += 8) {
-    const std::uint32_t lo = crc ^ load_u32(data.data() + i);
-    const std::uint32_t hi = load_u32(data.data() + i + 4);
-    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
-          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
-          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
-          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
-  }
-  for (; i < data.size(); ++i) {
-    crc = tables[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 // ---------------------------------------------------------------------------
 // Shared helper checks

@@ -18,13 +18,17 @@
 // offending field (and, for binary records, the byte offset).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/cpu.hpp"
 
 namespace csm::core {
 class SignatureMethod;
@@ -40,7 +44,9 @@ inline std::string text_header(std::string_view key) {
   return "csmethod v2 " + std::string(key) + "\n";
 }
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`. Inputs of 64 bytes
+/// or more fold through PCLMULQDQ when the CPU has it (common::cpu_has); the
+/// result is the same on every path.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Incremental form: extends a prior crc32() result with further bytes, so
@@ -49,6 +55,13 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 /// as it is written instead of buffering the whole stream.
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prior);
 
+/// crc32(data, prior) computed by the path for `isa` instead of the
+/// dispatched one, so tests and benches can run every path the host has:
+/// kScalar is the slicing-by-8 table, kPclmul the carry-less-multiply fold.
+/// Throws std::invalid_argument for any other `isa` or one this CPU lacks.
+std::uint32_t crc32_with(common::Isa isa, std::span<const std::uint8_t> data,
+                         std::uint32_t prior);
+
 /// Little-endian wire primitives, shared by the binary model codec, the
 /// model pack and the src/net frame codec: append_* pushes the value onto a
 /// byte buffer, load_* reads one from `p` (the caller guarantees the bytes
@@ -56,9 +69,46 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prior);
 void append_u16(std::vector<std::uint8_t>& out, std::uint16_t v);
 void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-std::uint16_t load_u16(const std::uint8_t* p);
-std::uint32_t load_u32(const std::uint8_t* p);
-std::uint64_t load_u64(const std::uint8_t* p);
+// Inline: decoders call the loads once per value.
+inline std::uint16_t load_u16(const std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint16_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    return static_cast<std::uint16_t>(
+        static_cast<std::uint16_t>(p[0]) |
+        (static_cast<std::uint16_t>(p[1]) << 8));
+  }
+}
+
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+    }
+    return v;
+  }
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+    return v;
+  }
+}
 
 /// Binary record framing constants.
 inline constexpr std::uint8_t kBinaryMagic[4] = {'C', 'S', 'M', 'B'};

@@ -1,6 +1,8 @@
 #include "net/frame.hpp"
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "core/model_codec.hpp"
@@ -14,6 +16,14 @@ using core::codec::append_u32;
 using core::codec::crc32;
 using core::codec::load_u16;
 using core::codec::load_u32;
+
+// "0x" and `digits` lower-case hex digits of v, for bytes and checksums in
+// FrameError messages.
+std::string hex(std::uint32_t v, int digits) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%0*x", digits, static_cast<unsigned>(v));
+  return buf;
+}
 
 }  // namespace
 
@@ -125,8 +135,7 @@ std::optional<Frame> FrameReader::next() {
   for (std::uint64_t i = 0; i < magic_have; ++i) {
     if (p[i] != kFrameMagic[i]) {
       fail("magic", i,
-           "expected \"CSMF\", got byte 0x" +
-               std::to_string(static_cast<unsigned>(p[i])));
+           "expected \"CSMF\", got byte " + hex(p[i], 2));
     }
   }
   if (have > 4 && p[4] != kFrameVersion) {
@@ -169,8 +178,7 @@ std::optional<Frame> FrameReader::next() {
       core::codec::crc32({p, static_cast<std::size_t>(crc_offset)});
   if (stored != computed) {
     fail("crc", crc_offset,
-         "stored 0x" + std::to_string(stored) + " != computed 0x" +
-             std::to_string(computed));
+         "stored " + hex(stored, 8) + " != computed " + hex(computed, 8));
   }
 
   Frame frame;

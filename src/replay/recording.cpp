@@ -407,25 +407,28 @@ void ReplayReader::rewind() noexcept {
 std::optional<RecordedBatch> ReplayReader::next() {
   const Mapping& m = *mapping_;
   if (batches_read_ >= m.batch_count) return std::nullopt;
-  const std::string where = " (batch " + std::to_string(batches_read_) +
-                            " at offset " + std::to_string(cursor_) + ")";
+  // Error context, built only on the failure paths.
+  const auto where = [&] {
+    return " (batch " + std::to_string(batches_read_) + " at offset " +
+           std::to_string(cursor_) + ")";
+  };
   if (cursor_ + 8 > m.table_offset) {
-    fail("truncated batch stream" + where);
+    fail("truncated batch stream" + where());
   }
   const std::uint64_t body_len = load_u64(m.data + cursor_);
   if (body_len < kBatchBodyPrefix ||
       body_len > m.table_offset - cursor_ - 8) {
-    fail("bad batch body length " + std::to_string(body_len) + where);
+    fail("bad batch body length " + std::to_string(body_len) + where());
   }
   const std::uint8_t* body = m.data + cursor_ + 8;
   const std::uint32_t node = load_u32(body);
   const std::uint64_t timestamp = load_u64(body + 4);
   const std::uint32_t n_cols = load_u32(body + 12);
   if (node >= m.nodes.size()) {
-    fail("batch names unknown node index " + std::to_string(node) + where);
+    fail("batch names unknown node index " + std::to_string(node) + where());
   }
   if (n_cols == 0) {
-    fail("empty batch" + where);  // The Recorder never writes one.
+    fail("empty batch" + where());  // The Recorder never writes one.
   }
   const std::uint64_t data_len = body_len - kBatchBodyPrefix;
   const std::uint64_t n_values = data_len / 8;
@@ -435,7 +438,7 @@ std::optional<RecordedBatch> ReplayReader::next() {
       n_values / n_cols != m.nodes[node].n_sensors) {
     fail("batch geometry does not match node \"" + m.nodes[node].id +
          "\" (" + std::to_string(m.nodes[node].n_sensors) + " sensors)" +
-         where);
+         where());
   }
   RecordedBatch batch;
   batch.node = node;
@@ -443,8 +446,10 @@ std::optional<RecordedBatch> ReplayReader::next() {
   const std::size_t rows = m.nodes[node].n_sensors;
   batch.columns = common::Matrix(rows, n_cols);
   const std::uint8_t* values = body + kBatchBodyPrefix;
-  for (std::size_t c = 0; c < n_cols; ++c) {
-    for (std::size_t r = 0; r < rows; ++r) {
+  // Fill the row-major matrix in order; the column-major values are read at
+  // a stride, which costs less than scattered writes.
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < n_cols; ++c) {
       batch.columns(r, c) =
           std::bit_cast<double>(load_u64(values + (c * rows + r) * 8));
     }

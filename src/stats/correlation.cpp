@@ -4,7 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/parallel.hpp"
 #include "stats/descriptive.hpp"
@@ -23,35 +28,279 @@ double pearson(std::span<const double> x, std::span<const double> y) {
 
 namespace {
 
-// Tile edge for the pairwise pass: a 32x32 pair tile touches 64 centered
-// rows, which at the longest streaming history (1024 cols = 8 KiB/row)
-// stays within a typical 512 KiB L2 slice.
-constexpr std::size_t kPairTile = 32;
+constexpr std::size_t kTile = CorrelationWorkspace::kTile;
+constexpr std::size_t kBlock = CorrelationWorkspace::kBlock;
 
-}  // namespace
+// Tile b of the panel: its first value, its width (the stride between time
+// steps: its live rows rounded up to kBlock) and its live rows.
+struct Tile {
+  const double* data;
+  std::size_t width;
+  std::size_t rows;
+};
 
-common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
-                                          CorrelationWorkspace& ws,
-                                          const common::CancelToken* cancel) {
+Tile tile_of(const double* panel, std::size_t n, std::size_t t,
+             std::size_t b) {
+  const std::size_t rows = std::min(kTile, n - b * kTile);
+  return {panel + b * kTile * t, (rows + kBlock - 1) / kBlock * kBlock, rows};
+}
+
+// Time steps per accumulation pass: a chunk of two 32-row tiles is 2 x 64
+// KiB, which stays in L2 while every row group of the i tile sweeps it.
+// Between chunks the accumulators go to memory and come back unchanged, so
+// each is still one sequential sum.
+constexpr std::size_t kChunk = 256;
+
+// A pair kernel fills the block of dot products of one tile pair:
+// acc[r * kTile + l] += sum over k of ti.data[k * ti.width + r] *
+// tj.data[k * tj.width + l] for every live row r of ti and live lane l of
+// tj, each lane summed in ascending k with a multiply then an add (no FMA;
+// the csm targets build with -ffp-contract=off so the compiler cannot fuse
+// them either). A kernel may also fill padding rows and lanes up to its
+// register block. On a diagonal tile (ti.data == tj.data) it may skip lanes
+// l <= r, which are never read.
+using PairKernel = void (*)(Tile ti, Tile tj, std::size_t t, double* acc);
+
+// One i row against kBlock j lanes at a time: a fixed-size group, so the
+// compiler keeps the accumulators in (vector) registers.
+void pair_kernel_scalar(Tile ti, Tile tj, std::size_t t, double* acc) {
+  const bool diagonal = ti.data == tj.data;
+  for (std::size_t k0 = 0; k0 < t; k0 += kChunk) {
+    const std::size_t k1 = std::min(t, k0 + kChunk);
+    for (std::size_t r = 0; r < ti.rows; ++r) {
+      for (std::size_t l = diagonal ? r / kBlock * kBlock : 0; l < tj.rows;
+           l += kBlock) {
+        double a[kBlock];
+        std::copy_n(acc + r * kTile + l, kBlock, a);
+        for (std::size_t k = k0; k < k1; ++k) {
+          const double x = ti.data[k * ti.width + r];
+          const double* y = tj.data + k * tj.width + l;
+          for (std::size_t q = 0; q < kBlock; ++q) a[q] += x * y[q];
+        }
+        std::copy_n(a, kBlock, acc + r * kTile + l);
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__)
+
+// Fully unrolls the small register-block loops below, so the accumulator
+// arrays live in vector registers.
+#if defined(__clang__)
+#define CSM_UNROLL _Pragma("unroll")
+#else
+#define CSM_UNROLL _Pragma("GCC unroll 8")
+#endif
+
+// Four i rows (x, stride wi) against kVecs * 8 j lanes (y, stride wj) over
+// time steps [k0, k1): up to 16 zmm accumulators.
+template <std::size_t kVecs>
+__attribute__((target("avx512f"))) void rows_avx512(
+    const double* x, std::size_t wi, const double* y, std::size_t wj,
+    std::size_t k0, std::size_t k1, double* acc) {
+  constexpr std::size_t kRows = 4;
+  __m512d a[kRows][kVecs];
+  CSM_UNROLL
+  for (std::size_t q = 0; q < kRows; ++q) {
+    CSM_UNROLL
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      a[q][v] = _mm512_loadu_pd(acc + q * kTile + v * 8);
+    }
+  }
+  for (std::size_t k = k0; k < k1; ++k) {
+    __m512d yv[kVecs];
+    CSM_UNROLL
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      yv[v] = _mm512_loadu_pd(y + k * wj + v * 8);
+    }
+    CSM_UNROLL
+    for (std::size_t q = 0; q < kRows; ++q) {
+      const __m512d xq = _mm512_set1_pd(x[k * wi + q]);
+      CSM_UNROLL
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        a[q][v] = _mm512_add_pd(a[q][v], _mm512_mul_pd(xq, yv[v]));
+      }
+    }
+  }
+  CSM_UNROLL
+  for (std::size_t q = 0; q < kRows; ++q) {
+    CSM_UNROLL
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      _mm512_storeu_pd(acc + q * kTile + v * 8, a[q][v]);
+    }
+  }
+}
+
+// Row groups of four over the live rows of ti (rounded up to four, inside
+// the tile's zero padding), against the live 8-lane vectors of tj.
+__attribute__((target("avx512f"))) void pair_kernel_avx512(
+    Tile ti, Tile tj, std::size_t t, double* acc) {
+  const bool diagonal = ti.data == tj.data;
+  const std::size_t wi = ti.width;
+  const std::size_t wj = tj.width;
+  for (std::size_t k0 = 0; k0 < t; k0 += kChunk) {
+    const std::size_t k1 = std::min(t, k0 + kChunk);
+    for (std::size_t r = 0; r < ti.rows; r += 4) {
+      const std::size_t l0 = diagonal ? r / 8 * 8 : 0;
+      const double* x = ti.data + r;
+      const double* y = tj.data + l0;
+      double* a = acc + r * kTile + l0;
+      switch ((wj - l0) / 8) {
+        case 1: rows_avx512<1>(x, wi, y, wj, k0, k1, a); break;
+        case 2: rows_avx512<2>(x, wi, y, wj, k0, k1, a); break;
+        case 3: rows_avx512<3>(x, wi, y, wj, k0, k1, a); break;
+        default: rows_avx512<4>(x, wi, y, wj, k0, k1, a); break;
+      }
+    }
+  }
+}
+
+// Four i rows against 8 j lanes at a time: 8 ymm accumulators, leaving room
+// in the 16 registers for the loads and broadcasts. Row groups and lanes as
+// in the AVX-512F kernel.
+__attribute__((target("avx2"))) void pair_kernel_avx2(Tile ti, Tile tj,
+                                                      std::size_t t,
+                                                      double* acc) {
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kVecs = 2;
+  const bool diagonal = ti.data == tj.data;
+  const double* pi = ti.data;
+  const double* pj = tj.data;
+  const std::size_t wi = ti.width;
+  const std::size_t wj = tj.width;
+  for (std::size_t k0 = 0; k0 < t; k0 += kChunk) {
+    const std::size_t k1 = std::min(t, k0 + kChunk);
+    for (std::size_t r = 0; r < ti.rows; r += kRows) {
+      for (std::size_t l = diagonal ? r / kBlock * kBlock : 0; l < wj;
+           l += kBlock) {
+        __m256d a[kRows][kVecs];
+        CSM_UNROLL
+        for (std::size_t q = 0; q < kRows; ++q) {
+          CSM_UNROLL
+          for (std::size_t v = 0; v < kVecs; ++v) {
+            a[q][v] = _mm256_loadu_pd(acc + (r + q) * kTile + l + v * 4);
+          }
+        }
+        for (std::size_t k = k0; k < k1; ++k) {
+          const double* y = pj + k * wj + l;
+          __m256d yv[kVecs];
+          CSM_UNROLL
+          for (std::size_t v = 0; v < kVecs; ++v) {
+            yv[v] = _mm256_loadu_pd(y + v * 4);
+          }
+          CSM_UNROLL
+          for (std::size_t q = 0; q < kRows; ++q) {
+            const __m256d x = _mm256_set1_pd(pi[k * wi + r + q]);
+            CSM_UNROLL
+            for (std::size_t v = 0; v < kVecs; ++v) {
+              a[q][v] = _mm256_add_pd(a[q][v], _mm256_mul_pd(x, yv[v]));
+            }
+          }
+        }
+        CSM_UNROLL
+        for (std::size_t q = 0; q < kRows; ++q) {
+          CSM_UNROLL
+          for (std::size_t v = 0; v < kVecs; ++v) {
+            _mm256_storeu_pd(acc + (r + q) * kTile + l + v * 4, a[q][v]);
+          }
+        }
+      }
+    }
+  }
+}
+
+#undef CSM_UNROLL
+
+#endif  // __x86_64__
+
+PairKernel pair_kernel_for(common::Isa isa) {
+  switch (isa) {
+    case common::Isa::kScalar:
+      return pair_kernel_scalar;
+#if defined(__x86_64__)
+    case common::Isa::kAvx2:
+      return pair_kernel_avx2;
+    case common::Isa::kAvx512f:
+      return pair_kernel_avx512;
+#endif
+    default:
+      return nullptr;
+  }
+}
+
+// The widest kernel this CPU runs, chosen once.
+PairKernel dispatched_pair_kernel() {
+  static const PairKernel kernel = [] {
+    for (const common::Isa isa : {common::Isa::kAvx512f, common::Isa::kAvx2}) {
+      if (common::cpu_has(isa)) return pair_kernel_for(isa);
+    }
+    return pair_kernel_scalar;
+  }();
+  return kernel;
+}
+
+// Fills tile b of the panel with rows b*kTile.. of `s` minus their means,
+// and their means and standard deviations. Lanes run across the
+// tile's rows, but each lane performs exactly the op sequence of stats::mean
+// and stats::stddev on its row (ascending sums, then one divide; the
+// deviations are the same row - mean the reference kernel multiplies), so
+// every value is bit-identical to theirs. Padding lanes past n hold zeros.
+void pack_tile(const common::MatrixView& s, std::size_t b, double* panel,
+               double* means, double* sds) {
+  const std::size_t t = s.cols();
+  const std::size_t i0 = b * kTile;
+  const Tile shape = tile_of(panel, s.rows(), t, b);
+  const std::size_t w = shape.width;
+  const std::size_t live = shape.rows;
+  double* tile = panel + i0 * t;
+  for (std::size_t k = 0; k < t; ++k) {
+    double* dst = tile + k * w;
+    for (std::size_t l = 0; l < live; ++l) dst[l] = s(i0 + l, k);
+    for (std::size_t l = live; l < w; ++l) dst[l] = 0.0;
+  }
+  // One group of kBlock lanes at a time, so the sums stay in registers.
+  // Padding lanes are zero and stay zero.
+  for (std::size_t g = 0; g < live; g += kBlock) {
+    double* group = tile + g;
+    double m[kBlock] = {};
+    for (std::size_t k = 0; k < t; ++k) {
+      for (std::size_t q = 0; q < kBlock; ++q) m[q] += group[k * w + q];
+    }
+    if (t > 0) {
+      for (double& v : m) v /= static_cast<double>(t);
+    }
+    double ss[kBlock] = {};
+    for (std::size_t k = 0; k < t; ++k) {
+      for (std::size_t q = 0; q < kBlock; ++q) {
+        const double d = group[k * w + q] - m[q];
+        group[k * w + q] = d;
+        ss[q] += d * d;
+      }
+    }
+    for (std::size_t q = 0; q < kBlock && g + q < live; ++q) {
+      means[i0 + g + q] = m[q];
+      sds[i0 + g + q] =
+          t < 2 ? 0.0 : std::sqrt(ss[q] / static_cast<double>(t));
+    }
+  }
+}
+
+common::Matrix correlate(const common::MatrixView& s, CorrelationWorkspace& ws,
+                         const common::CancelToken* cancel,
+                         PairKernel kernel) {
   const std::size_t n = s.rows();
   const std::size_t t = s.cols();
   common::Matrix out(n, n);
   ws.reserve(n, t);
 
-  // Hoist the mean-subtracted rows once (O(n t)): the O(n^2 t) pairwise pass
-  // below then reads contiguous centered rows regardless of the view layout
-  // (ring-segment views are gathered here, per-row order preserved). The
-  // subtraction is the same op the reference kernel performs inside its
-  // inner loop, so hoisting it keeps every coefficient bit-identical.
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = s.row(i, scratch);
-    const double m = mean(src);
-    ws.means[i] = m;
-    ws.sds[i] = stddev(src);
-    double* y = ws.centered.data() + i * t;
-    for (std::size_t k = 0; k < t; ++k) y[k] = src[k] - m;
-  }
+  // Hoist the mean-subtracted rows once (O(n t)) into the panel, one tile
+  // per parallel body: the O(n^2 t) pairwise pass below then reads
+  // contiguous time steps of kTile rows regardless of the view layout.
+  const std::size_t n_tiles = (n + kTile - 1) / kTile;
+  common::parallel_for(n_tiles, [&](std::size_t b) {
+    pack_tile(s, b, ws.panel.data(), ws.means.data(), ws.sds.data());
+  });
   if (cancel != nullptr) cancel->throw_if_cancelled();
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -62,7 +311,7 @@ common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
   const bool degenerate = t < 2;
   // rho for a finished pair, with the identical guard/clamp sequence the
   // reference applies. cov is only *used* under the guard, so computing it
-  // unconditionally above changes nothing.
+  // unconditionally changes nothing.
   const auto finish_pair = [&](std::size_t i, std::size_t j, double cov) {
     double rho = 0.0;
     if (!degenerate && ws.sds[i] != 0.0 && ws.sds[j] != 0.0) {
@@ -77,8 +326,8 @@ common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
 
   // Upper-triangular tile pairs, flattened so dynamic scheduling can balance
   // the skewed diagonal tiles. Each tile pair owns a disjoint block of `out`
-  // (plus its mirrored block), so the parallel bodies never race.
-  const std::size_t n_tiles = (n + kPairTile - 1) / kPairTile;
+  // (plus its mirrored block), so the parallel bodies never race. A diagonal
+  // tile keeps only the pairs above the diagonal.
   std::vector<std::pair<std::size_t, std::size_t>> tiles;
   tiles.reserve(n_tiles * (n_tiles + 1) / 2);
   for (std::size_t bi = 0; bi < n_tiles; ++bi) {
@@ -89,7 +338,7 @@ common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
   // no-ops, and the checkpoint after the loop unwinds.
   const std::atomic<bool>* cancel_flag =
       cancel != nullptr ? cancel->flag() : nullptr;
-  const double* centered = ws.centered.data();
+  const double* panel = ws.panel.data();
 
   common::parallel_for_dynamic(tiles.size(), [&](std::size_t p) {
     if (cancel_flag != nullptr &&
@@ -97,46 +346,40 @@ common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
       return;
     }
     const auto [bi, bj] = tiles[p];
-    const std::size_t i1 = std::min(n, (bi + 1) * kPairTile);
-    const std::size_t j0 = bj * kPairTile;
-    const std::size_t j1 = std::min(n, (bj + 1) * kPairTile);
-    for (std::size_t i = bi * kPairTile; i < i1; ++i) {
-      const double* yi = centered + i * t;
-      std::size_t j = std::max(j0, i + 1);
-      // Register-block four pairs per sweep: four independent accumulation
-      // chains keep the FMA ports busy, while each chain remains one
-      // accumulator summed in time-ascending order — the bit-exactness pin.
-      for (; j + 4 <= j1; j += 4) {
-        const double* y0 = centered + j * t;
-        const double* y1 = y0 + t;
-        const double* y2 = y1 + t;
-        const double* y3 = y2 + t;
-        double c0 = 0.0;
-        double c1 = 0.0;
-        double c2 = 0.0;
-        double c3 = 0.0;
-        for (std::size_t k = 0; k < t; ++k) {
-          const double v = yi[k];
-          c0 += v * y0[k];
-          c1 += v * y1[k];
-          c2 += v * y2[k];
-          c3 += v * y3[k];
-        }
-        finish_pair(i, j, c0);
-        finish_pair(i, j + 1, c1);
-        finish_pair(i, j + 2, c2);
-        finish_pair(i, j + 3, c3);
-      }
-      for (; j < j1; ++j) {
-        const double* yj = centered + j * t;
-        double cov = 0.0;
-        for (std::size_t k = 0; k < t; ++k) cov += yi[k] * yj[k];
-        finish_pair(i, j, cov);
+    double acc[kTile * kTile] = {};
+    kernel(tile_of(panel, n, t, bi), tile_of(panel, n, t, bj), t, acc);
+    const std::size_t i0 = bi * kTile;
+    const std::size_t j0 = bj * kTile;
+    const std::size_t i1 = std::min(n, i0 + kTile);
+    const std::size_t j1 = std::min(n, j0 + kTile);
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
+        finish_pair(i, j, acc[(i - i0) * kTile + (j - j0)]);
       }
     }
   });
   if (cancel != nullptr) cancel->throw_if_cancelled();
   return out;
+}
+
+}  // namespace
+
+common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
+                                          CorrelationWorkspace& ws,
+                                          const common::CancelToken* cancel) {
+  return correlate(s, ws, cancel, dispatched_pair_kernel());
+}
+
+common::Matrix shifted_correlation_matrix_with(
+    common::Isa isa, const common::MatrixView& s, CorrelationWorkspace& ws,
+    const common::CancelToken* cancel) {
+  const PairKernel kernel = pair_kernel_for(isa);
+  if (kernel == nullptr || !common::cpu_has(isa)) {
+    throw std::invalid_argument(
+        std::string("shifted_correlation_matrix: no ") +
+        common::isa_name(isa) + " kernel on this CPU");
+  }
+  return correlate(s, ws, cancel, kernel);
 }
 
 common::Matrix shifted_correlation_matrix(const common::MatrixView& s) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/cpu.hpp"
 #include "common/matrix.hpp"
 #include "common/matrix_view.hpp"
 
@@ -22,17 +23,28 @@ namespace csm::stats {
 double pearson(std::span<const double> x, std::span<const double> y);
 
 /// Reusable scratch for shifted_correlation_matrix: the mean-subtracted rows
-/// (n x t, row-major) plus per-row means and standard deviations. A stream
+/// packed as a panel, plus per-row means and standard deviations. A stream
 /// that retrains every N samples keeps one of these alive so the O(n t)
 /// staging buffers are allocated once, not per retrain. reserve() only grows,
 /// never shrinks, so steady-state retrains are allocation-free.
+///
+/// The panel is laid out [tile][k][width]: tile b holds rows b*kTile ..
+/// b*kTile + width-1, and at each time step k their values sit side by side,
+/// so one vector load reads one time step of neighbouring rows. Every tile
+/// but the last is kTile wide; the last is its live rows rounded up to
+/// kBlock, and its rows past n are zero. This is the only copy of the
+/// centred data, at most kBlock-1 rows larger than n*t.
 struct CorrelationWorkspace {
-  std::vector<double> centered;  ///< n*t mean-subtracted rows, row-major.
-  std::vector<double> means;     ///< per-row mean.
-  std::vector<double> sds;       ///< per-row population stddev.
+  static constexpr std::size_t kTile = 32;  ///< Rows per panel tile.
+  static constexpr std::size_t kBlock = 8;  ///< Tile widths round up to this.
+
+  std::vector<double> panel;  ///< ceil(n/kBlock)*kBlock*t centred values.
+  std::vector<double> means;  ///< per-row mean.
+  std::vector<double> sds;    ///< per-row population stddev.
 
   void reserve(std::size_t n, std::size_t t) {
-    if (centered.size() < n * t) centered.resize(n * t);
+    const std::size_t padded = (n + kBlock - 1) / kBlock * kBlock;
+    if (panel.size() < padded * t) panel.resize(padded * t);
     if (means.size() < n) means.resize(n);
     if (sds.size() < n) sds.resize(n);
   }
@@ -41,20 +53,29 @@ struct CorrelationWorkspace {
 /// Full pairwise *shifted* correlation matrix of the rows of `s`:
 /// out(i,j) = pearson(row i, row j) + 1, in [0, 2]; diagonal = 2.
 ///
-/// Complexity O(n^2 t); cache-tiled over (i, j) row pairs with the
-/// mean-subtracted rows hoisted into `ws` once, and register-blocked across
-/// neighbouring pairs for FMA-friendly independent accumulation chains. Each
-/// coefficient is still one accumulator summed in time-ascending order —
-/// exactly the op sequence of shifted_correlation_matrix_reference — so the
-/// result is bit-identical to the scalar path across every layout (the same
-/// pin PR 5 made for the fused smooth_window). Accepts any window view (a
-/// common::Matrix converts implicitly), so streaming retrains can feed
-/// ring-buffer history without materialising it.
+/// Complexity O(n^2 t); cache-tiled over kTile x kTile blocks of (i, j) row
+/// pairs, with the mean-subtracted rows hoisted into the `ws` panel once.
+/// The pair loop runs SIMD lanes across neighbouring pairs (AVX-512F or AVX2
+/// when the CPU has them, see common::cpu_has; the choice is made once per
+/// process). Each coefficient is still one accumulator summed in
+/// time-ascending order with a separate multiply and add — exactly the op
+/// sequence of shifted_correlation_matrix_reference — so the result is
+/// bit-identical to the scalar path on every ISA and layout. Accepts any
+/// window view (a common::Matrix converts implicitly), so streaming retrains
+/// can feed ring-buffer history without materialising it.
 ///
 /// `cancel`, when given, is polled per tile: a fired token makes the pass
 /// throw common::OperationCancelled (used by superseded async retrains).
 common::Matrix shifted_correlation_matrix(
     const common::MatrixView& s, CorrelationWorkspace& ws,
+    const common::CancelToken* cancel = nullptr);
+
+/// shifted_correlation_matrix with the pair kernel for `isa` instead of the
+/// dispatched one, so tests and benches can run every path the host has.
+/// Throws std::invalid_argument unless `isa` is kScalar, kAvx2 or kAvx512f
+/// and common::cpu_has(isa).
+common::Matrix shifted_correlation_matrix_with(
+    common::Isa isa, const common::MatrixView& s, CorrelationWorkspace& ws,
     const common::CancelToken* cancel = nullptr);
 
 /// Convenience overload with a throwaway workspace.

@@ -9,9 +9,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
@@ -61,6 +64,80 @@ TEST(Crc32, MatchesKnownVectors) {
     bitwise ^= 0xFFFFFFFFu;
     EXPECT_EQ(crc32(bytes_of(base.substr(0, len))), bitwise)
         << "length " << len;
+  }
+}
+
+// Every CRC path this host can run: the table everywhere, the PCLMULQDQ fold
+// on x86-64 CPUs that have it.
+std::vector<common::Isa> crc_paths() {
+  std::vector<common::Isa> paths;
+  for (const common::Isa isa : {common::Isa::kScalar, common::Isa::kPclmul}) {
+    if (common::cpu_has(isa)) paths.push_back(isa);
+  }
+  return paths;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) {
+    b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  }
+  return out;
+}
+
+TEST(Crc32, EveryPathMatchesBitwiseDefinition) {
+  // Lengths 0..4096 cross the 64-byte fold entry, every 16-byte fold step
+  // and every tail length; offsets 0..15 cover every load alignment. Each
+  // offset extends a random prior, so the register entering the fold is
+  // arbitrary, not just ~0.
+  constexpr std::size_t kMaxLen = 4096;
+  const std::vector<std::uint8_t> buf = random_bytes(kMaxLen + 16, 77);
+  common::Rng rng(78);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const auto prior = static_cast<std::uint32_t>(rng.uniform_int(1ull << 32));
+    std::uint32_t reg = prior ^ 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      const std::uint32_t bitwise = reg ^ 0xFFFFFFFFu;
+      EXPECT_EQ(crc32(data, prior), bitwise)
+          << "dispatched, offset " << offset << ", length " << len;
+      for (const common::Isa isa : crc_paths()) {
+        ASSERT_EQ(crc32_with(isa, data, prior), bitwise)
+            << common::isa_name(isa) << ", offset " << offset << ", length "
+            << len;
+      }
+      if (len == kMaxLen) break;
+      reg ^= buf[offset + len];
+      for (int k = 0; k < 8; ++k) {
+        reg = (reg & 1) ? 0xEDB88320u ^ (reg >> 1) : (reg >> 1);
+      }
+    }
+  }
+}
+
+TEST(Crc32, EveryPathChainsAtEverySplit) {
+  // crc32(b, crc32(a)) == crc32(a ++ b): the incremental form Recorder and
+  // ReplayReader rely on, at every split of a buffer longer than a fold.
+  const std::vector<std::uint8_t> buf = random_bytes(1031, 79);
+  const std::span<const std::uint8_t> all(buf);
+  for (const common::Isa isa : crc_paths()) {
+    const std::uint32_t whole = crc32_with(isa, all, 0);
+    EXPECT_EQ(whole, crc32(all));
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+      const std::uint32_t head = crc32_with(isa, all.first(split), 0);
+      ASSERT_EQ(crc32_with(isa, all.subspan(split), head), whole)
+          << common::isa_name(isa) << ", split " << split;
+    }
+  }
+}
+
+TEST(Crc32, UnavailablePathThrows) {
+  EXPECT_THROW(crc32_with(common::Isa::kAvx2, bytes_of("x"), 0),
+               std::invalid_argument);
+  if (!common::cpu_has(common::Isa::kPclmul)) {
+    EXPECT_THROW(crc32_with(common::Isa::kPclmul, bytes_of("x"), 0),
+                 std::invalid_argument);
   }
 }
 

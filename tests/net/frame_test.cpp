@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
+
+#include "core/model_codec.hpp"
 
 namespace csm::net {
 namespace {
@@ -116,6 +119,9 @@ TEST(FrameReader, RejectsBadMagicNamingOffset) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find("offset 2"), std::string::npos)
         << e.what();
+    // 'X' is byte 0x58, printed in hex.
+    EXPECT_NE(std::string(e.what()).find("got byte 0x58"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -173,13 +179,24 @@ TEST(FrameReader, HonoursLoweredPayloadCap) {
 TEST(FrameReader, RejectsCorruptCrc) {
   std::vector<std::uint8_t> wire = encode_frame(sample_frame());
   wire[wire.size() - 1] ^= 0x40;
+  const std::size_t crc_at = wire.size() - kFrameTrailerSize;
+  const std::uint32_t stored = core::codec::load_u32(&wire[crc_at]);
+  const std::uint32_t computed = core::codec::crc32({wire.data(), crc_at});
+  char expected[64];
+  std::snprintf(expected, sizeof expected, "stored 0x%08x != computed 0x%08x",
+                static_cast<unsigned>(stored), static_cast<unsigned>(computed));
   FrameReader reader;
   reader.feed(wire);
   try {
     reader.next();
     FAIL() << "expected FrameError";
   } catch (const FrameError& e) {
-    EXPECT_NE(std::string(e.what()).find("crc"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("bad crc at stream offset " +
+                                         std::to_string(crc_at)),
+              std::string::npos)
+        << e.what();
+    // Both checksums print as eight hex digits.
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
         << e.what();
   }
 }

@@ -208,6 +208,24 @@ TEST(ReplayReader, RejectsCorruptInputs) {
       RecordingError);
 }
 
+TEST(ReplayReader, BatchErrorsNameTheBatchAndOffset) {
+  // A batch naming a node the table does not have fails on next(), and the
+  // message says which batch and where it starts.
+  std::vector<std::uint8_t> bad_node = small_recording();
+  bad_node[kRecordingHeaderSize + 8] = 5;  // Node index, low byte.
+  ReplayReader reader = ReplayReader::open_bytes(bad_node);
+  try {
+    reader.next();
+    FAIL() << "expected RecordingError";
+  } catch (const RecordingError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown node index 5 (batch 0 at offset " +
+                  std::to_string(kRecordingHeaderSize) + ")"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ReplayReader, MissingFileThrows) {
   EXPECT_THROW(ReplayReader::open(test_dir() / "nope.csmr"), RecordingError);
 }

@@ -4,9 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/cpu.hpp"
 #include "common/ring_matrix.hpp"
 #include "common/rng.hpp"
 
@@ -140,18 +144,47 @@ void expect_bit_identical(const common::Matrix& a, const common::Matrix& b) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
+// Every pair-kernel path this host can run, scalar included.
+std::vector<common::Isa> kernel_paths() {
+  std::vector<common::Isa> paths;
+  for (const common::Isa isa :
+       {common::Isa::kScalar, common::Isa::kAvx2, common::Isa::kAvx512f}) {
+    if (common::cpu_has(isa)) paths.push_back(isa);
+  }
+  return paths;
+}
+
+// The dispatched kernel and every explicit path against the reference, each
+// through `ws` (a fresh workspace when none is given).
+void expect_every_path_matches_reference(const common::MatrixView& view,
+                                         CorrelationWorkspace* ws = nullptr) {
+  CorrelationWorkspace local;
+  CorrelationWorkspace& w = ws != nullptr ? *ws : local;
+  const common::Matrix ref = shifted_correlation_matrix_reference(view);
+  {
+    SCOPED_TRACE("dispatched");
+    expect_bit_identical(shifted_correlation_matrix(view, w), ref);
+  }
+  for (const common::Isa isa : kernel_paths()) {
+    SCOPED_TRACE(common::isa_name(isa));
+    expect_bit_identical(shifted_correlation_matrix_with(isa, view, w), ref);
+  }
+}
+
 TEST(ShiftedCorrelationProperty, TiledBitIdenticalToReference) {
-  // Sensor counts around the pair-tile boundary (32) and odd remainders for
-  // the 4-wide register block; t down to the degenerate t=1.
-  const std::size_t sensor_counts[] = {1, 2, 3, 5, 17, 31, 32, 33, 64, 70};
-  const std::size_t sample_counts[] = {1, 2, 3, 7, 64, 257};
+  // Sensor counts around the 32-row tile and the 8-row blocks a tile's
+  // width rounds up to (partial and whole blocks, a single short tile, a
+  // short last tile) up to a fleet-scale n; t down to the degenerate t=1
+  // and across the 256-step accumulation chunk.
+  const std::size_t sensor_counts[] = {1,  2,  3,  4,  5,  8,  9,  17, 24,
+                                       31, 32, 33, 40, 64, 67, 70, 1024};
+  const std::size_t sample_counts[] = {1, 2, 3, 7, 64, 257, 513};
   std::uint64_t seed = 100;
   for (std::size_t n : sensor_counts) {
     for (std::size_t t : sample_counts) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " t=" + std::to_string(t));
       const common::Matrix s = random_sensors(n, t, seed++);
-      const common::MatrixView view{s};
-      expect_bit_identical(shifted_correlation_matrix(view),
-                           shifted_correlation_matrix_reference(view));
+      expect_every_path_matches_reference(common::MatrixView{s});
     }
   }
 }
@@ -162,12 +195,25 @@ TEST(ShiftedCorrelationProperty, TiledBitIdenticalOnDegenerateRows) {
   common::Matrix s = random_sensors(40, 96, 7);
   for (std::size_t c = 0; c < 96; ++c) {
     s(3, c) = 5.0;              // Constant row.
+    s(35, c) = 0.0;             // Constant row in the second tile.
     s(11, c) = s(4, c);         // Exact duplicate (rho = 1, clamped).
     s(12, c) = -2.0 * s(4, c);  // Exact negative multiple (rho = -1).
   }
-  const common::MatrixView view{s};
-  expect_bit_identical(shifted_correlation_matrix(view),
-                       shifted_correlation_matrix_reference(view));
+  expect_every_path_matches_reference(common::MatrixView{s});
+}
+
+TEST(ShiftedCorrelationProperty, TiledBitIdenticalOnNonFiniteRows) {
+  // A NaN gap poisons a row's mean and every product it enters; an
+  // infinity does the same through inf - inf. The coefficient bytes must
+  // still match, whichever lane or tile the row lands in.
+  common::Matrix s = random_sensors(70, 300, 8);
+  s(0, 17) = std::numeric_limits<double>::quiet_NaN();
+  s(33, 0) = std::numeric_limits<double>::quiet_NaN();
+  s(66, 299) = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < 300; ++c) {
+    s(40, c) = std::numeric_limits<double>::quiet_NaN();  // All-NaN row.
+  }
+  expect_every_path_matches_reference(common::MatrixView{s});
 }
 
 TEST(ShiftedCorrelationProperty, RingWrapStraddlingViewBitIdentical) {
@@ -188,25 +234,23 @@ TEST(ShiftedCorrelationProperty, RingWrapStraddlingViewBitIdentical) {
   const common::MatrixView wrapped = ring.history_view();
   ASSERT_EQ(wrapped.cols(), capacity);
   const common::Matrix contiguous = ring.to_matrix();
-  const common::Matrix from_view = shifted_correlation_matrix(wrapped);
-  expect_bit_identical(from_view,
-                       shifted_correlation_matrix_reference(wrapped));
-  expect_bit_identical(from_view,
+  expect_every_path_matches_reference(wrapped);
+  expect_bit_identical(shifted_correlation_matrix(wrapped),
                        shifted_correlation_matrix(common::MatrixView{
                            contiguous}));
 }
 
 TEST(ShiftedCorrelationProperty, WorkspaceReuseDoesNotChangeResults) {
   // One workspace across shrinking and growing problem sizes: stale scratch
-  // contents from a previous call must never leak into a result.
+  // contents from a previous call (including the padding rows of a larger
+  // panel) must never leak into a result.
   CorrelationWorkspace ws;
-  const std::size_t shapes[][2] = {{48, 200}, {8, 16}, {64, 300}, {3, 5}};
+  const std::size_t shapes[][2] = {{48, 200}, {8, 16}, {64, 300}, {3, 5},
+                                   {33, 513}, {1, 7},   {9, 300}};
   std::uint64_t seed = 400;
   for (const auto& shape : shapes) {
     const common::Matrix s = random_sensors(shape[0], shape[1], seed++);
-    const common::MatrixView view{s};
-    expect_bit_identical(shifted_correlation_matrix(view, ws),
-                         shifted_correlation_matrix_reference(view));
+    expect_every_path_matches_reference(common::MatrixView{s}, &ws);
   }
 }
 
@@ -218,6 +262,27 @@ TEST(ShiftedCorrelationProperty, CancelledTokenThrows) {
   EXPECT_THROW(
       shifted_correlation_matrix(common::MatrixView{s}, ws, &cancel),
       common::OperationCancelled);
+  for (const common::Isa isa : kernel_paths()) {
+    EXPECT_THROW(shifted_correlation_matrix_with(isa, common::MatrixView{s},
+                                                 ws, &cancel),
+                 common::OperationCancelled)
+        << common::isa_name(isa);
+  }
+}
+
+TEST(ShiftedCorrelationProperty, UnavailablePathThrows) {
+  const common::Matrix s = random_sensors(4, 8, 5);
+  CorrelationWorkspace ws;
+  EXPECT_THROW(shifted_correlation_matrix_with(common::Isa::kPclmul,
+                                               common::MatrixView{s}, ws),
+               std::invalid_argument);
+  for (const common::Isa isa : {common::Isa::kAvx2, common::Isa::kAvx512f}) {
+    if (!common::cpu_has(isa)) {
+      EXPECT_THROW(
+          shifted_correlation_matrix_with(isa, common::MatrixView{s}, ws),
+          std::invalid_argument);
+    }
+  }
 }
 
 TEST(GlobalCoefficients, CorrelatedGroupScoresHigher) {
