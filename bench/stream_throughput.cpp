@@ -70,6 +70,7 @@
 #include "common/ring_matrix.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "common/wire.hpp"
 #include "core/method_registry.hpp"
 #include "core/method_stream.hpp"
 #include "core/model_codec.hpp"
@@ -631,7 +632,7 @@ int bench_run(Runner& run) {
     for (std::size_t k = 0; k < cold_distinct; ++k) {
       const auto trained =
           untrained->fit(synthetic_stream(cold_sensors, 400, cold_seed + k));
-      text_blobs.push_back(trained->serialize());
+      text_blobs.push_back(core::codec::encode_text(*trained));
       bin_records.push_back(core::codec::encode_binary(*trained));
     }
 
@@ -823,10 +824,10 @@ int bench_run(Runner& run) {
       std::uint32_t table_crc = 0;
       std::uint32_t fast_crc = 0;
       CaseResult& table = run.bench_loop("crc32-table/" + point, [&] {
-        table_crc = core::codec::crc32_with(common::Isa::kScalar, buf, 0);
+        table_crc = common::wire::crc32_with(common::Isa::kScalar, buf, 0);
       });
       CaseResult& fast = run.bench_loop("crc32/" + point, [&] {
-        fast_crc = core::codec::crc32(buf);
+        fast_crc = common::wire::crc32(buf);
       });
       for (CaseResult* c : {&table, &fast}) {
         c->seed = seed;

@@ -5,8 +5,11 @@
 // 3. Compute compact signatures over sliding windows (sorting + smoothing).
 // 4. Inspect, flatten for ML, rescale, and persist the model.
 #include <iostream>
+#include <memory>
 
+#include "baselines/registry.hpp"
 #include "common/rng.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
 #include "data/window.hpp"
@@ -60,10 +63,14 @@ int main() {
   std::cout << "Rescaled to 2 blocks: " << coarse.real()[0] << ", "
             << coarse.real()[1] << '\n';
 
-  const std::string blob = model.serialize();
-  const core::CsModel shipped = core::CsModel::deserialize(blob);
+  // The model ships as a method: its options travel with it.
+  const core::CsSignatureMethod method(
+      std::make_shared<const core::CsPipeline>(pipeline));
+  const std::string blob = core::codec::encode_text(method);
+  const auto shipped = baselines::default_registry().deserialize(blob);
   std::cout << "Model serialises to " << blob.size()
             << " bytes and round-trips: "
-            << (shipped == model ? "OK" : "MISMATCH") << '\n';
+            << (core::codec::encode_text(*shipped) == blob ? "OK" : "MISMATCH")
+            << '\n';
   return 0;
 }

@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
         csm::core::codec::encode_binary(*method);
     write_bytes(root / "model-codec" / (label + ".csmb"), record.data(),
                 record.size());
-    write_text(root / "model-text" / (label + ".csmt"), method->serialize());
+    write_text(root / "model-text" / (label + ".csmt"),
+               csm::core::codec::encode_text(*method));
   }
 
   // --- model-pack: a 3-node mixed-method fleet store -----------------------

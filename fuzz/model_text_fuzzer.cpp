@@ -1,9 +1,9 @@
 // Fuzz target: MethodRegistry::deserialize over tagged-text model bodies
-// ("csmethod v2 <key>" and the legacy v1 forms).
+// ("csmethod v2 <key>", the only text model format).
 //
 // Arbitrary text either revives a trained method or throws
 // std::runtime_error. Accepted inputs must round-trip through the canonical
-// serialize() rendering.
+// codec::encode_text rendering.
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +11,7 @@
 
 #include "baselines/registry.hpp"
 #include "core/method_registry.hpp"
+#include "core/model_codec.hpp"
 #include "fuzz/fuzz_util.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -24,10 +25,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const std::runtime_error&) {
     return 0;
   }
-  const std::string canonical = method->serialize();
+  const std::string canonical = csm::core::codec::encode_text(*method);
   const std::unique_ptr<csm::core::SignatureMethod> again =
       registry.deserialize(canonical);
-  csm::fuzz::require(again->serialize() == canonical,
+  csm::fuzz::require(csm::core::codec::encode_text(*again) == canonical,
                      "text deserialize/serialize round trip diverged");
   return 0;
 }

@@ -2,7 +2,7 @@
 //
 // The library is built for the baseline ISA of its target, so one binary
 // runs on every host. Kernels that have faster paths for wider vector units
-// (stats::shifted_correlation_matrix, core::codec::crc32) compile those paths
+// (stats::shifted_correlation_matrix, common::wire::crc32) compile those paths
 // with per-function target attributes and pick one at first use from this
 // probe, caching the choice in a function pointer. There is no option and no
 // environment variable: the CPU decides, and every path produces the same

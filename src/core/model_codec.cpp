@@ -24,6 +24,12 @@
 namespace csm::core::codec {
 namespace {
 
+using common::wire::append_f64;
+using common::wire::append_u32;
+using common::wire::append_u64;
+using common::wire::load_u32;
+using common::wire::load_u64;
+
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("ModelCodec: " + what);
 }
@@ -38,30 +44,6 @@ std::string quoted(std::string_view name) {
   out += '"';
   return out;
 }
-
-}  // namespace
-
-// --- little-endian primitives (shared with the src/net frame codec) ---------
-
-void append_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-namespace {
 
 // --- binary field type tags -------------------------------------------------
 
@@ -344,7 +326,7 @@ void BinarySink::u64(std::string_view name, std::uint64_t value) {
 
 void BinarySink::f64(std::string_view name, double value) {
   field_header(kTypeF64, name, 1);
-  append_u64(body_, std::bit_cast<std::uint64_t>(value));
+  append_f64(body_, value);
 }
 
 void BinarySink::u64_array(std::string_view name,
@@ -359,7 +341,7 @@ void BinarySink::f64_array(std::string_view name,
                            std::span<const double> values) {
   field_header(kTypeF64Array, name, values.size());
   for (const double v : values) {
-    append_u64(body_, std::bit_cast<std::uint64_t>(v));
+    append_f64(body_, v);
   }
 }
 

@@ -1,12 +1,12 @@
 #include "core/model_pack.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "common/wire.hpp"
 #include "core/method_registry.hpp"
 #include "core/model_codec.hpp"
 
@@ -20,52 +20,17 @@
 namespace csm::core {
 namespace {
 
+using common::wire::append_u32;
+using common::wire::append_u64;
+using common::wire::crc32;
+using common::wire::load_u32;
+using common::wire::load_u64;
+
 constexpr std::size_t kIndexEntrySize = 24;
 constexpr std::size_t kHeaderCrcOffset = 40;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("ModelPack: " + what);
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  // Little-endian hosts read the wire format in place; others assemble it.
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
 }
 
 std::vector<std::uint8_t> pack_header(std::uint64_t count,
@@ -80,7 +45,7 @@ std::vector<std::uint8_t> pack_header(std::uint64_t count,
   append_u64(header, index_off);
   append_u64(header, names_off);
   append_u64(header, names_len);
-  append_u32(header, codec::crc32({header.data(), kHeaderCrcOffset}));
+  append_u32(header, crc32({header.data(), kHeaderCrcOffset}));
   append_u32(header, 0);  // Reserved.
   return header;
 }
@@ -335,7 +300,7 @@ void ModelPack::Mapping::validate() {
          " (expected " + std::to_string(kPackVersion) + ")");
   }
   const std::uint32_t stored_crc = load_u32(data + kHeaderCrcOffset);
-  const std::uint32_t computed_crc = codec::crc32({data, kHeaderCrcOffset});
+  const std::uint32_t computed_crc = crc32({data, kHeaderCrcOffset});
   if (stored_crc != computed_crc) {
     fail("header CRC mismatch in " + file.string());
   }

@@ -78,7 +78,7 @@ std::pair<common::Matrix, common::Matrix> signature_heatmaps(
 /// method, and a trained method holding a reference-counted pipeline.
 class CsSignatureMethod final : public SignatureMethod {
  public:
-  /// Untrained prototype; compute()/serialize() throw until fit().
+  /// Untrained prototype; compute()/save() throw until fit().
   explicit CsSignatureMethod(CsOptions options, std::string display_name = {});
 
   /// Trained method (the usual deployment). Throws std::invalid_argument on
@@ -122,11 +122,6 @@ class CsSignatureMethod final : public SignatureMethod {
   /// Reads the save() fields back from either codec back-end. Throws
   /// std::runtime_error on malformed input.
   static std::unique_ptr<CsSignatureMethod> read(codec::Source& in);
-
-  /// Parses the body of the legacy "csmethod v1 cs" format (options plus an
-  /// embedded CsModel blob). Throws std::runtime_error on malformed input.
-  static std::unique_ptr<CsSignatureMethod> deserialize_body(
-      const std::string& body);
 
  private:
   std::shared_ptr<const CsPipeline> pipeline_;  ///< Null = untrained.

@@ -19,8 +19,8 @@
 // spec string via core::MethodRegistry) either already trained (stateless
 // baselines) or as an untrained prototype (CS, PCA), *fitted* on historical
 // data with fit(), asked to *compute* signatures window by window, and
-// *serialised* to a tagged text blob that MethodRegistry::deserialize turns
-// back into an equivalent trained method. The default implementations below
+// *saved* through the model codec (core/model_codec.hpp), whose text or
+// binary form MethodRegistry turns back into an equivalent trained method. The default implementations below
 // describe a stateless method, so ad-hoc SignatureMethod subclasses (e.g.
 // benchmark one-offs) only have to override the three compute-side members.
 #pragma once
@@ -115,12 +115,6 @@ class SignatureMethod {
   /// little-endian record, and the matching registry reader consumes them in
   /// the same order from a codec::Source. Default: not supported.
   virtual void save(codec::Sink& sink) const;
-
-  /// Deprecated-style string adapter over save() (tagged text form, parse
-  /// back with MethodRegistry::deserialize) so pipeline/harness/examples
-  /// keep compiling unchanged. Throws std::logic_error if the method is
-  /// untrained or not serialisable.
-  std::string serialize() const;
 
   /// Streaming variant of compute(): may additionally use the raw (unsorted)
   /// sensor column that immediately precedes the window (null when the

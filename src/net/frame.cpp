@@ -5,17 +5,17 @@
 #include <string>
 #include <utility>
 
-#include "core/model_codec.hpp"
+#include "common/wire.hpp"
 
 namespace csm::net {
 
 namespace {
 
-using core::codec::append_u16;
-using core::codec::append_u32;
-using core::codec::crc32;
-using core::codec::load_u16;
-using core::codec::load_u32;
+using common::wire::append_u16;
+using common::wire::append_u32;
+using common::wire::crc32;
+using common::wire::load_u16;
+using common::wire::load_u32;
 
 // "0x" and `digits` lower-case hex digits of v, for bytes and checksums in
 // FrameError messages.
@@ -175,7 +175,7 @@ std::optional<Frame> FrameReader::next() {
   const std::uint64_t crc_offset = total - kFrameTrailerSize;
   const std::uint32_t stored = load_u32(p + crc_offset);
   const std::uint32_t computed =
-      core::codec::crc32({p, static_cast<std::size_t>(crc_offset)});
+      crc32({p, static_cast<std::size_t>(crc_offset)});
   if (stored != computed) {
     fail("crc", crc_offset,
          "stored " + hex(stored, 8) + " != computed " + hex(computed, 8));

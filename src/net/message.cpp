@@ -4,19 +4,19 @@
 #include <limits>
 #include <utility>
 
-#include "core/model_codec.hpp"
+#include "common/wire.hpp"
 
 namespace csm::net {
 
 namespace {
 
-using core::codec::append_u16;
-using core::codec::append_u32;
-using core::codec::append_u64;
-
-void append_f64(std::vector<std::uint8_t>& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+using common::wire::append_f64;
+using common::wire::append_u16;
+using common::wire::append_u32;
+using common::wire::append_u64;
+using common::wire::load_u16;
+using common::wire::load_u32;
+using common::wire::load_u64;
 
 // Shared histogram wire form: f64 lo | f64 hi | u64 underflow |
 // u64 overflow | u32 bins | u64 x bins (stats-response ingest + retrain
@@ -77,21 +77,21 @@ std::uint8_t PayloadReader::u8(const char* field) {
 
 std::uint16_t PayloadReader::u16(const char* field) {
   need(field, 2);
-  const std::uint16_t v = core::codec::load_u16(payload_.data() + cursor_);
+  const std::uint16_t v = load_u16(payload_.data() + cursor_);
   cursor_ += 2;
   return v;
 }
 
 std::uint32_t PayloadReader::u32(const char* field) {
   need(field, 4);
-  const std::uint32_t v = core::codec::load_u32(payload_.data() + cursor_);
+  const std::uint32_t v = load_u32(payload_.data() + cursor_);
   cursor_ += 4;
   return v;
 }
 
 std::uint64_t PayloadReader::u64(const char* field) {
   need(field, 8);
-  const std::uint64_t v = core::codec::load_u64(payload_.data() + cursor_);
+  const std::uint64_t v = load_u64(payload_.data() + cursor_);
   cursor_ += 8;
   return v;
 }

@@ -5,7 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "core/model_codec.hpp"
+#include "common/wire.hpp"
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -19,13 +19,14 @@
 namespace csm::replay {
 namespace {
 
-using core::codec::append_u16;
-using core::codec::append_u32;
-using core::codec::append_u64;
-using core::codec::crc32;
-using core::codec::load_u16;
-using core::codec::load_u32;
-using core::codec::load_u64;
+using common::wire::append_f64;
+using common::wire::append_u16;
+using common::wire::append_u32;
+using common::wire::append_u64;
+using common::wire::crc32;
+using common::wire::load_u16;
+using common::wire::load_u32;
+using common::wire::load_u64;
 
 constexpr std::size_t kHeaderCrcOffset = 32;
 
@@ -142,7 +143,7 @@ void Recorder::record_locked(std::uint32_t node, const common::Matrix& columns,
   // the ingestion order and the kSampleBatch wire layout.
   for (std::size_t c = 0; c < columns.cols(); ++c) {
     for (std::size_t r = 0; r < columns.rows(); ++r) {
-      append_u64(bytes, std::bit_cast<std::uint64_t>(columns(r, c)));
+      append_f64(bytes, columns(r, c));
     }
   }
   write(bytes);

@@ -8,12 +8,15 @@
 #include "baselines/pca.hpp"
 #include "common/rng.hpp"
 #include "core/method_stream.hpp"
+#include "core/model_codec.hpp"
+#include "../model_body_test_util.hpp"
 
 namespace csm::baselines {
 namespace {
 
 using core::MethodRegistry;
 using core::SignatureMethod;
+using core::codec::Sink;
 
 common::Matrix wave_matrix(std::size_t n, std::size_t t, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -66,7 +69,8 @@ TEST(DefaultRegistry, EverySpecRoundTripsParseFitSerializeDeserialize) {
     const std::vector<double> reference = trained->compute(window);
     EXPECT_EQ(reference.size(), trained->signature_length(window.rows()));
 
-    const auto revived = registry.deserialize(trained->serialize());
+    const auto revived =
+        registry.deserialize(core::codec::encode_text(*trained));
     ASSERT_TRUE(revived->trained());
     EXPECT_EQ(revived->name(), trained->name());
     EXPECT_EQ(revived->compute(window), reference);
@@ -109,10 +113,12 @@ TEST(DefaultRegistry, TextAndBinaryFormsAreInterchangeable) {
 
     // text -> method -> binary -> method: signatures and text form survive
     // the full cross-format cycle bit-exactly.
-    const auto via_text = registry.deserialize(trained->serialize());
+    const auto via_text =
+        registry.deserialize(core::codec::encode_text(*trained));
     const auto via_both = registry.decode(core::codec::encode_binary(*via_text));
     EXPECT_EQ(via_both->compute(window), reference);
-    EXPECT_EQ(via_both->serialize(), trained->serialize());
+    EXPECT_EQ(core::codec::encode_text(*via_both),
+              core::codec::encode_text(*trained));
   }
 }
 
@@ -168,40 +174,95 @@ TEST(DefaultRegistry, RejectsUnknownParameters) {
 
 TEST(DefaultRegistry, StatelessBodiesMustBeEmpty) {
   const MethodRegistry& registry = default_registry();
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 tuncer\nsurprise"),
-               std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 lan\nwr 0\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 lan\nwr 10\ngarbage"),
-               std::runtime_error);
+  test_util::expect_rejected(
+      [&] { return registry.deserialize("csmethod v2 tuncer\nsurprise"); },
+      "trailing data");
+  test_util::expect_rejected(
+      [&] { return registry.deserialize("csmethod v2 lan\nwr 0\n"); },
+      "wr must be positive");
+  test_util::expect_rejected(
+      [&] { return registry.deserialize("csmethod v2 lan\nwr 10\ngarbage"); },
+      "trailing data");
+  // The same checks through the binary reader as well.
+  test_util::expect_body_rejected(
+      registry, "tuncer", [](Sink& s) { s.u64("surprise", 1); }, "trailing");
+  test_util::expect_body_rejected(
+      registry, "bodik", [](Sink& s) { s.u64("surprise", 1); }, "trailing");
+  test_util::expect_body_rejected(
+      registry, "lan", [](Sink& s) { s.size("wr", 0); },
+      "wr must be positive");
+  test_util::expect_body_rejected(
+      registry, "lan",
+      [](Sink& s) {
+        s.size("wr", 10);
+        s.u64("garbage", 0);
+      },
+      "trailing");
+}
+
+// A "pca" body with the given shapes and one repeated value everywhere.
+void write_pca_fields(Sink& s, std::size_t n, std::size_t k, double value) {
+  s.size("sensors", n);
+  s.size("components", k);
+  s.f64_array("means", std::vector<double>(n, value));
+  s.f64_array("inv-std", std::vector<double>(n, 1.0));
+  s.f64_array("explained", std::vector<double>(k, 1.0));
+  s.f64_array("basis", std::vector<double>(k * n, 1.0));
 }
 
 TEST(PcaSerialization, RejectsMalformedBodies) {
   const MethodRegistry& registry = default_registry();
   // Truncated body.
-  EXPECT_THROW((void)registry.deserialize(
-                   "csmethod v1 pca\npcamodel v1\n3 2\n0 1\n"),
-               std::runtime_error);
-  // k > n.
-  EXPECT_THROW((void)registry.deserialize(
-                   "csmethod v1 pca\npcamodel v1\n1 2\n0 1\n1 1\n1 1\n"),
-               std::runtime_error);
+  test_util::expect_body_rejected(
+      registry, "pca",
+      [](Sink& s) {
+        s.size("sensors", 3);
+        s.size("components", 2);
+        s.f64_array("means", std::vector<double>{0.0, 1.0, 2.0});
+      },
+      "\"inv-std\"");
+  // k > n, with every array consistent with the declared shapes.
+  test_util::expect_body_rejected(
+      registry, "pca", [](Sink& s) { write_pca_fields(s, 1, 2, 0.0); },
+      "inconsistent part shapes");
   // NaN coefficients.
-  EXPECT_THROW(
-      (void)registry.deserialize(
-          "csmethod v1 pca\npcamodel v1\n1 1\nnan 1\n1 1\n"),
-      std::runtime_error);
+  test_util::expect_body_rejected(
+      registry, "pca", [](Sink& s) { write_pca_fields(s, 1, 1, std::nan("")); },
+      "non-finite means");
+  // Arrays that disagree with sensors/components.
+  test_util::expect_body_rejected(
+      registry, "pca",
+      [](Sink& s) {
+        s.size("sensors", 2);
+        s.size("components", 1);
+        s.f64_array("means", std::vector<double>{0.0});
+        s.f64_array("inv-std", std::vector<double>{1.0, 1.0});
+        s.f64_array("explained", std::vector<double>{1.0});
+        s.f64_array("basis", std::vector<double>{1.0, 1.0});
+      },
+      "field shapes are inconsistent");
+  // The well-formed control body decodes.
+  core::codec::TextSink ok;
+  write_pca_fields(ok, 2, 1, 0.5);
+  EXPECT_NO_THROW(
+      (void)registry.deserialize(core::codec::text_header("pca") + ok.body()));
 }
 
-TEST(PcaSerialization, ModelRoundTripsThroughText) {
+TEST(PcaSerialization, ModelRoundTripsThroughBothCodecFormats) {
   const common::Matrix history = wave_matrix(5, 120, 14);
-  const PcaModel model = PcaModel::fit(history, 3);
-  const PcaModel back = PcaModel::deserialize(model.serialize());
-  EXPECT_EQ(back.n_sensors(), model.n_sensors());
-  EXPECT_EQ(back.n_components(), model.n_components());
-  EXPECT_EQ(back.means(), model.means());
-  EXPECT_EQ(back.inv_std(), model.inv_std());
-  EXPECT_EQ(back.components(), model.components());
+  const PcaMethod method(PcaModel::fit(history, 3));
+  const MethodRegistry& registry = default_registry();
+  const std::unique_ptr<SignatureMethod> revived[] = {
+      registry.deserialize(core::codec::encode_text(method)),
+      registry.decode(core::codec::encode_binary(method))};
+  for (const auto& back : revived) {
+    const PcaModel& model = dynamic_cast<const PcaMethod&>(*back).model();
+    EXPECT_EQ(model.n_sensors(), method.model().n_sensors());
+    EXPECT_EQ(model.n_components(), method.model().n_components());
+    EXPECT_EQ(model.means(), method.model().means());
+    EXPECT_EQ(model.inv_std(), method.model().inv_std());
+    EXPECT_EQ(model.components(), method.model().components());
+  }
 }
 
 }  // namespace

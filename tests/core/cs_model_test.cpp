@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <vector>
 
+#include "core/method_registry.hpp"
+#include "core/model_codec.hpp"
+#include "core/pipeline.hpp"
 #include "core/training.hpp"
+#include "../model_body_test_util.hpp"
 
 namespace csm::core {
 namespace {
@@ -47,38 +55,77 @@ TEST(CsModel, SortClampsOutOfTrainingRange) {
   EXPECT_DOUBLE_EQ(sorted(0, 2), 1.0);
 }
 
-TEST(CsModel, SerializeRoundTrip) {
-  const CsModel model = simple_model();
-  const CsModel back = CsModel::deserialize(model.serialize());
-  EXPECT_EQ(back, model);
+MethodRegistry cs_registry() {
+  MethodRegistry r;
+  register_cs_method(r);
+  return r;
 }
 
-TEST(CsModel, DeserializeRejectsGarbage) {
-  EXPECT_THROW(CsModel::deserialize("not a model"), std::runtime_error);
-  EXPECT_THROW(CsModel::deserialize("csmodel v2\n1\n0 0 1\n"),
-               std::runtime_error);
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n3\n0 0 1\n"),
-               std::runtime_error);  // Truncated body.
+// A "cs" model body in CsSignatureMethod::save() field order.
+void write_cs_fields(codec::Sink& s, std::vector<std::uint64_t> perm,
+                     std::vector<double> lo, std::vector<double> hi) {
+  s.size("blocks", 0);
+  s.flag("real-only", false);
+  s.u64_array("perm", perm);
+  s.f64_array("lo", lo);
+  s.f64_array("hi", hi);
 }
 
-TEST(CsModel, DeserializeRejectsStructurallyInvalidBodies) {
+TEST(CsModel, CodecRejectsStructurallyInvalidBodies) {
+  const MethodRegistry registry = cs_registry();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   // Non-permutation p: duplicate index.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n2\n0 0 1\n0 0 1\n"),
-               std::runtime_error);
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [](codec::Sink& s) { write_cs_fields(s, {0, 0}, {0, 0}, {1, 1}); },
+      "not a valid permutation");
   // Non-permutation p: out-of-range index.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n2\n0 0 1\n5 0 1\n"),
-               std::runtime_error);
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [](codec::Sink& s) { write_cs_fields(s, {0, 5}, {0, 0}, {1, 1}); },
+      "not a valid permutation");
   // NaN bounds must throw, never propagate into sort().
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n1\n0 nan 1\n"),
-               std::runtime_error);
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n1\n0 0 inf\n"),
-               std::runtime_error);
-  // Trailing garbage after a complete body.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n1\n0 0 1\nextra"),
-               std::runtime_error);
-  // Absurd sensor count must not allocate first.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n999999999999\n"),
-               std::runtime_error);
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [&](codec::Sink& s) { write_cs_fields(s, {0}, {nan}, {1}); },
+      "non-finite normalisation bounds");
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [&](codec::Sink& s) { write_cs_fields(s, {0}, {0}, {inf}); },
+      "non-finite normalisation bounds");
+  // Trailing data after a complete body.
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [](codec::Sink& s) {
+        write_cs_fields(s, {0}, {0}, {1});
+        s.u64("extra", 0);
+      },
+      "trailing");
+  test_util::expect_rejected(
+      [&] {
+        return registry.deserialize(
+            "csmethod v2 cs\nblocks 0\nreal-only 0\nperm 1 0\nlo 1 0\n"
+            "hi 1 1\nextra");
+      },
+      "trailing data");
+  // Absurd element count must fail before anything is allocated: in text,
+  // and in binary with the largest count a u32 can declare.
+  test_util::expect_rejected(
+      [&] {
+        return registry.deserialize(
+            "csmethod v2 cs\nblocks 0\nreal-only 0\nperm 999999999999\n");
+      },
+      "exceeds the element cap");
+  codec::BinarySink binary;
+  binary.size("blocks", 0);
+  binary.flag("real-only", false);
+  binary.u64_array("perm", {});
+  std::vector<std::uint8_t> body = binary.body();
+  std::fill(body.end() - 4, body.end(), std::uint8_t{0xFF});  // The count.
+  test_util::expect_rejected(
+      [&] { return registry.decode(codec::frame_record("cs", body)); },
+      "exceeds the element cap");
 }
 
 TEST(CsModel, ConstructorRejectsNonFiniteBounds) {
@@ -88,28 +135,32 @@ TEST(CsModel, ConstructorRejectsNonFiniteBounds) {
                std::invalid_argument);
 }
 
-TEST(CsModel, FileRoundTrip) {
-  const auto file = std::filesystem::temp_directory_path() /
-                    "csm_model_test.csmodel";
-  const CsModel model = simple_model();
-  model.save(file);
-  const CsModel back = CsModel::load(file);
-  EXPECT_EQ(back, model);
-  std::filesystem::remove(file);
-}
-
-TEST(CsModel, TrainedModelRoundTripsThroughText) {
+TEST(CsModel, TrainedModelRoundTripsThroughBothCodecFormats) {
+  // The model ships inside a CsSignatureMethod, as text, as a CSMB record
+  // and through a file in each format.
   common::Matrix s{{1, 2, 3, 4}, {4, 3, 2, 1}, {2, 2, 8, 1}};
   const CsModel model = train(s);
-  const CsModel back = CsModel::deserialize(model.serialize());
-  EXPECT_EQ(back.permutation(), model.permutation());
-  // The sort outputs must match exactly.
-  EXPECT_EQ(back.sort(s), model.sort(s));
-}
-
-TEST(CsModel, LoadMissingFileThrows) {
-  EXPECT_THROW(CsModel::load("/nonexistent/path/model.txt"),
-               std::runtime_error);
+  const CsSignatureMethod method(
+      std::make_shared<const CsPipeline>(model, CsOptions{}));
+  const MethodRegistry registry = cs_registry();
+  const auto file =
+      std::filesystem::temp_directory_path() / "csm_cs_model_test.model";
+  std::vector<std::unique_ptr<SignatureMethod>> revived;
+  revived.push_back(registry.deserialize(codec::encode_text(method)));
+  revived.push_back(registry.decode(codec::encode_binary(method)));
+  for (const codec::ModelFormat format :
+       {codec::ModelFormat::kText, codec::ModelFormat::kBinary}) {
+    save_method(method, file, format);
+    revived.push_back(registry.load(file));
+  }
+  std::filesystem::remove(file);
+  for (const auto& back : revived) {
+    const CsModel& shipped =
+        dynamic_cast<const CsSignatureMethod&>(*back).pipeline()->model();
+    EXPECT_EQ(shipped, model);
+    // The sort outputs must match exactly.
+    EXPECT_EQ(shipped.sort(s), model.sort(s));
+  }
 }
 
 }  // namespace

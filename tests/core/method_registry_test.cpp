@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "../model_body_test_util.hpp"
 
 namespace csm::core {
 namespace {
@@ -111,7 +114,7 @@ TEST(MethodRegistry, CsPrototypeLifecycle) {
   EXPECT_EQ(prototype->signature_length(12), 6u);  // Real-only: l, not 2l.
   const common::Matrix window = wave_matrix(8, 30);
   EXPECT_THROW((void)prototype->compute(window), std::logic_error);
-  EXPECT_THROW((void)prototype->serialize(), std::logic_error);
+  EXPECT_THROW((void)codec::encode_text(*prototype), std::logic_error);
 
   const auto trained = prototype->fit(wave_matrix(8, 200));
   EXPECT_TRUE(trained->trained());
@@ -123,7 +126,7 @@ TEST(MethodRegistry, CsSerializeRoundTripsExactly) {
   const MethodRegistry registry = cs_registry();
   const common::Matrix history = wave_matrix(7, 150);
   const auto trained = registry.create("cs:blocks=3")->fit(history);
-  const auto revived = registry.deserialize(trained->serialize());
+  const auto revived = registry.deserialize(codec::encode_text(*trained));
   EXPECT_EQ(revived->name(), trained->name());
   const common::Matrix window = wave_matrix(7, 25);
   EXPECT_EQ(revived->compute(window), trained->compute(window));
@@ -134,27 +137,51 @@ TEST(MethodRegistry, DeserializeRejectsMalformedText) {
   EXPECT_THROW((void)registry.deserialize("garbage"), std::runtime_error);
   EXPECT_THROW((void)registry.deserialize("csmethod v2 cs\n"),
                std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 unknown\nbody"),
-               std::runtime_error);
+  test_util::expect_rejected(
+      [&] { return registry.deserialize("csmethod v2 unknown\nbody"); },
+      "unknown method tag \"unknown\"");
   // Well-formed header, malformed CS body.
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 cs\nblocks x\n"),
-               std::runtime_error);
-  EXPECT_THROW(
-      (void)registry.deserialize(
-          "csmethod v1 cs\nblocks 3\nreal-only 0\ncsmodel v1\n2\n0 0 1\n"),
-      std::runtime_error);  // Truncated embedded model.
+  test_util::expect_rejected(
+      [&] { return registry.deserialize("csmethod v2 cs\nblocks x\n"); },
+      "\"blocks\" is not an unsigned integer");
+  // Truncated body: the bounds stop after "lo".
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [](codec::Sink& s) {
+        s.size("blocks", 3);
+        s.flag("real-only", false);
+        s.u64_array("perm", std::vector<std::uint64_t>{1, 0});
+        s.f64_array("lo", std::vector<double>{0.0, 0.0});
+      },
+      "\"hi\"");
+  // Bounds arrays shorter than the permutation.
+  test_util::expect_body_rejected(
+      registry, "cs",
+      [](codec::Sink& s) {
+        s.size("blocks", 3);
+        s.flag("real-only", false);
+        s.u64_array("perm", std::vector<std::uint64_t>{1, 0});
+        s.f64_array("lo", std::vector<double>{0.0});
+        s.f64_array("hi", std::vector<double>{1.0});
+      },
+      "bounds arrays do not match the permutation length");
+}
+
+TEST(MethodRegistry, OnlyV2TextHeadersLoad) {
+  // The v1 text formats of earlier releases have no reader any more.
+  const MethodRegistry registry = cs_registry();
+  for (const char* text :
+       {"csmethod v1 cs\nblocks 3\nreal-only 0\ncsmodel v1\n1\n0 0 1\n",
+        "csmodel v1\n1\n0 0 1\n", "csmethod v3 cs\n"}) {
+    test_util::expect_rejected([&] { return registry.deserialize(text); },
+                               "bad header");
+  }
 }
 
 TEST(MethodRegistry, LoadMissingFileThrows) {
   const MethodRegistry registry = cs_registry();
   EXPECT_THROW((void)registry.load("/nonexistent/method.csm"),
                std::runtime_error);
-}
-
-TEST(MethodRegistry, TaggedDetection) {
-  EXPECT_TRUE(is_tagged_method("csmethod v1 cs\n..."));
-  EXPECT_FALSE(is_tagged_method("csmodel v1\n3\n"));
-  EXPECT_FALSE(is_tagged_method(""));
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 
 #include <filesystem>
 
-#include "core/codec.hpp"
+#include "baselines/registry.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
-#include "core/streaming.hpp"
 #include "core/training.hpp"
 #include "data/alignment.hpp"
 #include "data/csv.hpp"
@@ -93,18 +93,20 @@ TEST(EndToEnd, CsSignaturesAreSmallerThanBaselines) {
 }
 
 TEST(EndToEnd, ModelShippedAcrossProcessesViaSerialization) {
-  // Out-of-band training / in-band inference: model text round-trip must
-  // preserve signatures bit-exactly.
+  // Out-of-band training / in-band inference: a model codec round trip, in
+  // either format, must preserve signatures bit-exactly.
   const hpcoda::Segment seg = hpcoda::make_power_segment(tiny());
   const auto& sensors = seg.blocks.front().sensors;
-  const core::CsModel trained = core::train(sensors);
-  const core::CsModel shipped =
-      core::CsModel::deserialize(trained.serialize());
-  const core::CsPipeline a(trained, core::CsOptions{12, false});
-  const core::CsPipeline b(shipped, core::CsOptions{12, false});
-  const auto wa = a.transform_window(sensors.sub_cols(100, 10));
-  const auto wb = b.transform_window(sensors.sub_cols(100, 10));
-  EXPECT_EQ(wa, wb);
+  const core::MethodRegistry& registry = baselines::default_registry();
+  const auto trained = registry.create("cs:blocks=12")->fit(sensors);
+  const common::Matrix window = sensors.sub_cols(100, 10);
+  const std::vector<double> expected = trained->compute(window);
+  EXPECT_EQ(registry.deserialize(core::codec::encode_text(*trained))
+                ->compute(window),
+            expected);
+  EXPECT_EQ(registry.decode(core::codec::encode_binary(*trained))
+                ->compute(window),
+            expected);
 }
 
 TEST(EndToEnd, CrossArchitectureMergedTraining) {
@@ -169,39 +171,6 @@ TEST(EndToEnd, SignatureRescalingKeepsModelUsable) {
   forest.fit(train_set.features, train_set.labels);
   const std::vector<int> pred = forest.predict(test_set.features);
   EXPECT_GT(ml::macro_f1(test_set.labels, pred), 0.85);
-}
-
-TEST(EndToEnd, StreamedEncodedSignaturesStillClassify) {
-  // The full in-band transport path: stream -> 8-bit codec -> broker ->
-  // decode -> classify. Quantisation must not cost measurable accuracy.
-  const hpcoda::Segment seg = hpcoda::make_fault_segment(tiny());
-  const common::Matrix& sensors = seg.blocks.front().sensors;
-  const core::CsModel model = core::train(sensors);
-  core::StreamOptions opts;
-  opts.window_length = seg.window.length;
-  opts.window_step = seg.window.step;
-  opts.cs.blocks = 20;
-
-  data::Dataset exact, decoded;
-  for (const hpcoda::RunInfo& run : seg.runs) {
-    core::CsStream stream(model, opts);
-    for (const core::Signature& sig : stream.push_all(
-             sensors.sub_cols(run.begin, run.end - run.begin))) {
-      exact.features.append_row(sig.flatten());
-      exact.labels.push_back(run.label);
-      const core::Signature wire =
-          core::decode_signature(core::encode_signature(sig));
-      decoded.features.append_row(wire.flatten());
-      decoded.labels.push_back(run.label);
-    }
-  }
-  ml::RandomForestClassifier forest;
-  forest.fit(exact.features, exact.labels);
-  const double f1_exact =
-      ml::macro_f1(exact.labels, forest.predict(exact.features));
-  const double f1_decoded =
-      ml::macro_f1(decoded.labels, forest.predict(decoded.features));
-  EXPECT_GT(f1_decoded, f1_exact - 0.03);
 }
 
 TEST(EndToEnd, KnnClassifiesCrossArchSignatures) {

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "core/model_codec.hpp"
+#include "common/wire.hpp"
 
 namespace csm::net {
 namespace {
@@ -180,8 +180,8 @@ TEST(FrameReader, RejectsCorruptCrc) {
   std::vector<std::uint8_t> wire = encode_frame(sample_frame());
   wire[wire.size() - 1] ^= 0x40;
   const std::size_t crc_at = wire.size() - kFrameTrailerSize;
-  const std::uint32_t stored = core::codec::load_u32(&wire[crc_at]);
-  const std::uint32_t computed = core::codec::crc32({wire.data(), crc_at});
+  const std::uint32_t stored = common::wire::load_u32(&wire[crc_at]);
+  const std::uint32_t computed = common::wire::crc32({wire.data(), crc_at});
   char expected[64];
   std::snprintf(expected, sizeof expected, "stored 0x%08x != computed 0x%08x",
                 static_cast<unsigned>(stored), static_cast<unsigned>(computed));

@@ -15,6 +15,7 @@
 #include "common/ring_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/method_stream.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
 #include "core/smoothing.hpp"
 #include "core/streaming.hpp"
@@ -344,8 +345,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Retraining reads the ring history through history_view(); training from
 // the view must reproduce the materialised to_matrix() training bit for bit
-// (CS compares models member-wise, PCA via its full-precision
-// serialisation), including when the retained history straddles the wrap.
+// (CS compares models member-wise, PCA via the bytes of its binary model
+// record, where every double is bit-exact), including when the retained
+// history straddles the wrap.
 TEST(TrainFromViewProperty, RingHistoryViewTrainsIdenticallyToMaterialised) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const std::size_t n = 7;
@@ -358,9 +360,10 @@ TEST(TrainFromViewProperty, RingHistoryViewTrainsIdenticallyToMaterialised) {
     }
     const common::Matrix materialised = ring.to_matrix();
     EXPECT_EQ(core::train(ring.history_view()), core::train(materialised));
-    EXPECT_EQ(
-        baselines::PcaModel::fit(ring.history_view(), 3).serialize(),
-        baselines::PcaModel::fit(materialised, 3).serialize());
+    EXPECT_EQ(core::codec::encode_binary(baselines::PcaMethod(
+                  baselines::PcaModel::fit(ring.history_view(), 3))),
+              core::codec::encode_binary(baselines::PcaMethod(
+                  baselines::PcaModel::fit(materialised, 3))));
   }
 }
 

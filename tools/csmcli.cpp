@@ -13,13 +13,13 @@
 //           [--format text|binary]
 //       Align the sensors and fit a method on them (classic CS without
 //       --method), writing the tagged model-codec format — human-readable
-//       text by default, the CRC-framed binary record with
-//       --format binary. Every other subcommand accepts both, plus the
-//       legacy bare CsModel blobs older releases wrote.
+//       "csmethod v2" text by default, the CRC-framed CSMB binary record
+//       with --format binary. Every other subcommand reads both; they are
+//       the only model formats.
 //
 //   csmcli info    <model_file | pack_file>
-//       Print a model summary (any model format), or the index summary of
-//       a model pack.
+//       Print a model summary (either model format), or the index summary
+//       of a model pack.
 //
 //   csmcli pack    <model_dir> <pack_file>
 //       Bundle every model file in a directory into one mmap-able model
@@ -32,8 +32,7 @@
 //       Re-encode one model file between the codec formats.
 //
 //   csmcli extract <sensor_dir> <model_file> <out_csv>
-//           [--blocks L] [--window WL] [--step WS] [--interval MS]
-//           [--real-only]
+//           [--window WL] [--step WS] [--interval MS]
 //   csmcli extract <sensor_dir> <out_csv> --method SPEC
 //           [--window WL] [--step WS] [--interval MS]
 //       Compute signatures over sliding windows and write them as a
@@ -127,10 +126,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "baselines/registry.hpp"
@@ -211,8 +208,7 @@ void usage(std::ostream& out) {
       << "  csmcli unpack  <pack_file> <out_dir> [--format text|binary]\n"
       << "  csmcli convert <model_in> <model_out> [--format text|binary]\n"
       << "  csmcli extract <sensor_dir> <model_file> <out_csv>\n"
-      << "                 [--blocks L] [--window WL] [--step WS]\n"
-      << "                 [--interval MS] [--real-only]\n"
+      << "                 [--window WL] [--step WS] [--interval MS]\n"
       << "  csmcli extract <sensor_dir> <out_csv> --method SPEC\n"
       << "                 [--window WL] [--step WS] [--interval MS]\n"
       << "  csmcli sort    <sensor_dir> <model_file> <out_pgm>"
@@ -364,35 +360,6 @@ data::AlignedSensors load_aligned(const std::string& dir,
                          : data::align_auto(series);
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-// A model file is either a codec binary record ("CSMB..."), tagged method
-// text ("csmethod v2 ..." or legacy v1), or a legacy bare CsModel blob
-// ("csmodel v1 ...").
-using LoadedModel = std::variant<std::unique_ptr<core::SignatureMethod>,
-                                 core::CsModel>;
-
-std::span<const std::uint8_t> as_bytes(const std::string& blob) {
-  return {reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size()};
-}
-
-LoadedModel load_any_model(const std::string& path) {
-  const std::string blob = read_file(path);
-  if (core::codec::is_binary_record(as_bytes(blob))) {
-    return baselines::default_registry().decode(as_bytes(blob));
-  }
-  if (core::is_tagged_method(blob)) {
-    return baselines::default_registry().deserialize(blob);
-  }
-  return core::CsModel::deserialize(blob);
-}
-
 bool is_pack_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   char head[sizeof(core::kPackMagic)] = {};
@@ -423,8 +390,7 @@ int cmd_train(const Options& opts) {
   std::cout << "aligned " << aligned.matrix.rows() << " sensors x "
             << aligned.matrix.cols() << " samples (interval "
             << aligned.interval_ms << " ms)\n";
-  // Default spec: classic CS-All. (Older releases wrote a bare CsModel blob
-  // here; reading those still works everywhere, writing them doesn't.)
+  // Default spec: classic CS-All.
   const std::string spec = opts.method.empty() ? "cs" : opts.method;
   const auto method =
       baselines::default_registry().create(spec)->fit(aligned.matrix);
@@ -454,29 +420,17 @@ int cmd_info(const Options& opts) {
     }
     return 0;
   }
-  const LoadedModel loaded = load_any_model(opts.positional[0]);
-  if (const auto* method =
-          std::get_if<std::unique_ptr<core::SignatureMethod>>(&loaded)) {
-    const std::size_t n = (*method)->n_sensors();
-    std::cout << "method: " << (*method)->name() << "\nsensors: "
-              << (n == 0 ? std::string("any") : std::to_string(n))
-              << "\nsignature length: ";
-    if (n == 0) {
-      // Sensor-count-agnostic method: quote the per-sensor scaling instead
-      // of a meaningless length for n = 0.
-      std::cout << (*method)->signature_length(1) << " per sensor\n";
-    } else {
-      std::cout << (*method)->signature_length(n) << '\n';
-    }
-    return 0;
-  }
-  const core::CsModel& model = std::get<core::CsModel>(loaded);
-  std::cout << "sensors: " << model.n_sensors() << "\npermutation:";
-  for (std::size_t idx : model.permutation()) std::cout << ' ' << idx;
-  std::cout << "\nbounds:\n";
-  for (std::size_t i = 0; i < model.n_sensors(); ++i) {
-    std::cout << "  row " << i << ": [" << model.bounds()[i].lo << ", "
-              << model.bounds()[i].hi << "]\n";
+  const auto method = baselines::default_registry().load(opts.positional[0]);
+  const std::size_t n = method->n_sensors();
+  std::cout << "method: " << method->name() << "\nsensors: "
+            << (n == 0 ? std::string("any") : std::to_string(n))
+            << "\nsignature length: ";
+  if (n == 0) {
+    // Sensor-count-agnostic method: quote the per-sensor scaling instead
+    // of a meaningless length for n = 0.
+    std::cout << method->signature_length(1) << " per sensor\n";
+  } else {
+    std::cout << method->signature_length(n) << '\n';
   }
   return 0;
 }
@@ -537,39 +491,16 @@ int cmd_extract(const Options& opts) {
   }
   const data::AlignedSensors aligned =
       load_aligned(opts.positional[0], opts.interval_ms);
-  const LoadedModel loaded = load_any_model(opts.positional[1]);
-  if (const auto* method =
-          std::get_if<std::unique_ptr<core::SignatureMethod>>(&loaded)) {
-    if (opts.blocks_set || opts.real_only) {
-      std::cerr << "--blocks/--real-only have no effect on a tagged method "
-                   "model (" << (*method)->name()
-                << " carries its own options); retrain with --method to "
-                   "change them\n";
-      return 1;
-    }
-    return write_window_features(**method, aligned.matrix, spec,
-                                 opts.positional[2]);
+  const auto method = baselines::default_registry().load(opts.positional[1]);
+  if (opts.blocks_set || opts.real_only) {
+    std::cerr << "--blocks/--real-only have no effect on a model file ("
+              << method->name()
+              << " carries its own options); retrain with --method to "
+                 "change them\n";
+    return 1;
   }
-
-  // Legacy CsModel path: batch transform over shared buffers.
-  const core::CsPipeline pipeline(
-      std::get<core::CsModel>(loaded),
-      core::CsOptions{opts.blocks, opts.real_only});
-  const auto sigs = pipeline.transform(aligned.matrix, spec);
-  if (sigs.empty()) {
-    std::cerr << "no complete windows (have " << aligned.matrix.cols()
-              << " samples, window is " << opts.window << ")\n";
-    return 2;
-  }
-  data::Dataset ds;
-  for (const core::Signature& sig : sigs) {
-    ds.features.append_row(sig.flatten(opts.real_only));
-    ds.labels.push_back(0);
-  }
-  data::write_feature_csv(opts.positional[2], ds);
-  std::cout << "wrote " << ds.size() << " signatures of length "
-            << ds.feature_length() << " to " << opts.positional[2] << '\n';
-  return 0;
+  return write_window_features(*method, aligned.matrix, spec,
+                               opts.positional[2]);
 }
 
 int cmd_sort(const Options& opts) {
@@ -579,21 +510,15 @@ int cmd_sort(const Options& opts) {
   }
   const data::AlignedSensors aligned =
       load_aligned(opts.positional[0], opts.interval_ms);
-  const LoadedModel loaded = load_any_model(opts.positional[1]);
-  const core::CsModel* model = std::get_if<core::CsModel>(&loaded);
-  if (!model) {
-    const auto& method =
-        std::get<std::unique_ptr<core::SignatureMethod>>(loaded);
-    const auto* cs = dynamic_cast<const core::CsSignatureMethod*>(
-        method.get());
-    if (!cs) {
-      std::cerr << "sort requires a CS model; " << method->name()
-                << " has no sorting stage\n";
-      return 2;
-    }
-    model = &cs->pipeline()->model();
+  const auto method = baselines::default_registry().load(opts.positional[1]);
+  const auto* cs = dynamic_cast<const core::CsSignatureMethod*>(method.get());
+  if (!cs) {
+    std::cerr << "sort requires a CS model; " << method->name()
+              << " has no sorting stage\n";
+    return 2;
   }
-  harness::write_pgm(opts.positional[2], model->sort(aligned.matrix));
+  harness::write_pgm(opts.positional[2],
+                     cs->pipeline()->model().sort(aligned.matrix));
   std::cout << "wrote sorted heatmap (" << aligned.matrix.rows() << " x "
             << aligned.matrix.cols() << ") to " << opts.positional[2]
             << '\n';
