@@ -40,6 +40,10 @@
 // stall surfaces in the p99/max columns, and the driver fails if async
 // ingest p99 with retrains firing exceeds 5x the no-retrain baseline.
 //
+// The emit table prices the CS emit kernel alone, per ISA path:
+// core::WindowSmoother against smooth_window over the same ring
+// windows; the run fails if one signature differs by a byte.
+//
 // The crc32 table prices the checksum every binary format verifies: the
 // slicing-by-8 table against the dispatched path, in bytes/s; the run fails
 // if the two ever disagree.
@@ -420,8 +424,9 @@ int bench_run(Runner& run) {
       }
       // The zero-copy invariant this driver guards: the view emit must not
       // be slower than the copy emit at any sweep point. The 10% grace
-      // absorbs shared-runner jitter (the view path measures ~1.4-2x in
-      // practice), so tripping this means the invariant actually broke.
+      // absorbs shared-runner jitter (the view path, which also emits through
+      // WindowSmoother, measures several times faster in practice), so
+      // tripping this means the invariant actually broke.
       if (view.items_per_sec < 0.9 * copy.items_per_sec) {
         std::fprintf(stderr,
                      "FAIL: view emit slower than copy emit at %s "
@@ -432,6 +437,95 @@ int bench_run(Runner& run) {
       std::printf("%8zu %9zu %9zu %15.0f %15.0f %8.2fx\n", n, history, t,
                   copy.items_per_sec, view.items_per_sec,
                   view.items_per_sec / copy.items_per_sec);
+    }
+  }
+
+  // The CS emit kernel on its own: one ring per case, pushed column by
+  // column, a signature every ws samples. "emit-ref" runs smooth_window
+  // over each window; "emit/<path>" runs WindowSmoother on that ISA path,
+  // which normalises each sample once and sums one block per lane. Every
+  // emitted signature must match smooth_window's bytes.
+  {
+    const std::size_t wl = 60;
+    const std::size_t ws = 10;
+    const std::size_t l = 8;
+    std::printf("\n== CS emit kernel: smooth_window vs WindowSmoother per "
+                "ISA path (wl=%zu, ws=%zu, l=%zu) ==\n", wl, ws, l);
+    std::printf("%8s %9s %9s %15s %15s %9s\n", "sensors", "path", "samples",
+                "ref (smp/s)", "lane (smp/s)", "speedup");
+    for (const std::size_t n : {32u, 512u}) {
+      const std::size_t t = quick ? 2000 : 8000;
+      const std::string point = "n=" + std::to_string(n);
+      const std::uint64_t seed = run.derive_seed("emit/" + point);
+      const common::Matrix data = synthetic_stream(n, t, seed);
+      const core::CsModel model = core::train(data.sub_cols(0, 1000));
+      // Pushes the stream through a wl + 1 ring, calling emit(ring) for
+      // every due window; the signatures land in `sigs`.
+      const auto drive = [&](auto&& emit, std::vector<double>& sigs) {
+        common::RingMatrix ring(n, wl + 1);
+        sigs.assign((t - wl) / ws * 2 * l + 2 * l, 0.0);
+        std::size_t k = 0;
+        for (std::size_t c = 0; c < t; ++c) {
+          const std::span<double> slot = ring.push_slot();
+          for (std::size_t r = 0; r < n; ++r) slot[r] = data(r, c);
+          if (c + 1 < wl || (c + 1 - wl) % ws != 0) continue;
+          const std::vector<double> sig = emit(ring);
+          std::copy(sig.begin(), sig.end(), sigs.begin() + k * 2 * l);
+          ++k;
+        }
+      };
+      std::vector<double> ref_sigs;
+      CaseResult& ref =
+          run.measure("emit-ref/" + point, static_cast<double>(t), [&] {
+            drive(
+                [&](const common::RingMatrix& ring) {
+                  const bool seeded = ring.size() > wl;
+                  const std::span<const double> seed_col =
+                      seeded ? ring.newest(wl) : std::span<const double>();
+                  return core::smooth_window(ring.latest_view(wl),
+                                             model.permutation(),
+                                             model.bounds(),
+                                             seeded ? &seed_col : nullptr, l)
+                      .flatten();
+                },
+                ref_sigs);
+          });
+      ref.seed = seed;
+      ref.param("sensors", std::to_string(n));
+      ref.param("samples", std::to_string(t));
+      for (const common::Isa isa : {common::Isa::kScalar, common::Isa::kAvx2,
+                                    common::Isa::kAvx512f}) {
+        if (!common::cpu_has(isa)) continue;
+        std::vector<double> lane_sigs;
+        CaseResult& lane = run.measure(
+            std::string("emit/") + common::isa_name(isa) + "/" + point,
+            static_cast<double>(t), [&] {
+              core::WindowSmoother smoother(model.permutation(),
+                                            model.bounds(), l, wl, false);
+              drive(
+                  [&](const common::RingMatrix& ring) {
+                    return smoother.emit_with(isa, ring);
+                  },
+                  lane_sigs);
+            });
+        lane.seed = seed;
+        lane.param("sensors", std::to_string(n));
+        lane.param("samples", std::to_string(t));
+        lane.param("path", common::isa_name(isa));
+        if (lane_sigs.size() != ref_sigs.size() ||
+            std::memcmp(lane_sigs.data(), ref_sigs.data(),
+                        ref_sigs.size() * sizeof(double)) != 0) {
+          std::fprintf(stderr,
+                       "FAIL: %s WindowSmoother emit differs from smooth_window "
+                       "at %s\n", common::isa_name(isa), point.c_str());
+          return 1;
+        }
+        const double speedup = lane.items_per_sec / ref.items_per_sec;
+        lane.metric("speedup_vs_reference", speedup);
+        std::printf("%8zu %9s %9zu %15.0f %15.0f %8.1fx\n", n,
+                    common::isa_name(isa), t, ref.items_per_sec,
+                    lane.items_per_sec, speedup);
+      }
     }
   }
 

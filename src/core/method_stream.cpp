@@ -53,8 +53,18 @@ MethodStream::MethodStream(std::shared_ptr<const SignatureMethod> method,
         "MethodStream: sensor count required for method \"" +
         method_->name() + "\"");
   }
-  history_ = common::RingMatrix(n_sensors_, options_.history_length);
+  // A stream that can never retrain reads no further back than one window
+  // and its seed column, so its ring holds just those.
+  const bool can_retrain = options_.retrain_interval != 0 ||
+                           options_.retrain_policy == RetrainPolicy::kOnDrift;
+  history_ = common::RingMatrix(
+      n_sensors_, can_retrain ? options_.history_length
+                              : options_.window_length + 1);
   next_emit_at_ = options_.window_length;
+  // Built now so the node's memory is all allocated when it is added; the
+  // emit site rebuilds it whenever the model changes.
+  emitter_ = method_->make_stream_emitter(options_.window_length);
+  emitter_method_ = method_;
 }
 
 MethodStream::~MethodStream() {
@@ -106,24 +116,22 @@ std::optional<std::vector<double>> MethodStream::emit_if_due() {
   // generation (never a half-swapped state). No-op under kSync.
   apply_pending_swap();
 
-  // Hand the newest wl columns to the method as a zero-copy view over the
-  // ring segments, plus a span over the raw column preceding the window
-  // when one exists; the method decides what to do with the seed (CS feeds
-  // its derivative channel, others ignore it).
-  const std::size_t wl = options_.window_length;
-  const common::MatrixView window = history_.latest_view(wl);
   // Score (and possibly retrain on) the window BEFORE computing it, so the
   // first signature after a detected regime change already comes from the
   // refitted model.
   if (options_.retrain_policy == RetrainPolicy::kOnDrift) {
-    maybe_drift_retrain(window);
+    maybe_drift_retrain(history_.latest_view(options_.window_length));
+  }
+  // Every model change (inline refit, drift refit, async swap) lands before
+  // this point, so this one check keeps the emitter on the live model.
+  // Holding the method it was built for also keeps that address from being
+  // reused by a later model.
+  if (emitter_method_ != method_) {
+    emitter_ = method_->make_stream_emitter(options_.window_length);
+    emitter_method_ = method_;
   }
   ++signatures_emitted_;
-  if (history_.size() > wl) {
-    const std::span<const double> seed = history_.newest(wl);
-    return method_->compute_streaming(window, &seed);
-  }
-  return method_->compute_streaming(window, nullptr);
+  return emitter_->emit(history_);
 }
 
 void MethodStream::maybe_retrain() {

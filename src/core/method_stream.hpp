@@ -4,11 +4,19 @@
 // buffer: one column of sensor readings per push, a feature vector emitted
 // every ws samples once wl samples are buffered, and optional periodic
 // retraining via the method's uniform fit() entry point over the buffered
-// history. The emit path is zero-copy: the newest wl columns are handed to
-// SignatureMethod::compute_streaming as a common::MatrixView over the ring
-// segments (two segments when the window straddles the wrap point) together
-// with a span over the raw column preceding the window — CS seeds its
-// derivative channel with it, stateless methods ignore it.
+// history. A stream that can never retrain (retrain_interval == 0 and a
+// policy other than kOnDrift) sizes its ring at wl + 1 columns, the window
+// and its seed; every other stream keeps history_length columns.
+//
+// Emits go through the StreamEmitter the live method makes for this stream
+// (SignatureMethod::make_stream_emitter), rebuilt whenever the method
+// changes. The default emitter hands the newest wl columns to
+// compute_streaming as a zero-copy common::MatrixView over the ring
+// segments, plus a span over the raw column preceding the window. CS keeps
+// the newest wl + 1 columns normalised and in block order (WindowSmoother):
+// each sample is normalised once, O(n) divisions, and an emit adds O(n * wl)
+// cached values with one SIMD lane per block. Its signatures are
+// byte-identical to smooth_window's.
 //
 // Retraining follows the StreamOptions::retrain_policy seam. kSync fits
 // inline over RingMatrix::history_view() (no materialisation), exactly the
@@ -139,7 +147,13 @@ class MethodStream {
   std::shared_ptr<const SignatureMethod> method_;
   StreamOptions options_;
   std::size_t n_sensors_ = 0;
-  common::RingMatrix history_;  ///< n_sensors x history_length column ring.
+  /// n_sensors x history_length column ring (wl + 1 columns when the stream
+  /// can never retrain).
+  common::RingMatrix history_;
+  /// Emit state for emitter_method_; rebuilt at the emit site whenever
+  /// method_ no longer matches it.
+  std::shared_ptr<const SignatureMethod> emitter_method_;
+  std::unique_ptr<StreamEmitter> emitter_;
   std::size_t samples_seen_ = 0;
   std::size_t next_emit_at_ = 0;
   std::size_t signatures_emitted_ = 0;

@@ -176,4 +176,15 @@ std::vector<double> CsSignatureMethod::compute_streaming(
       .flatten(options_.real_only);
 }
 
+std::unique_ptr<StreamEmitter> CsSignatureMethod::make_stream_emitter(
+    std::size_t window_length) const {
+  if (!pipeline_) {
+    throw std::logic_error("CsSignatureMethod: compute() before fit()");
+  }
+  const CsModel& model = pipeline_->model();
+  return std::make_unique<WindowSmoother>(
+      model.permutation(), model.bounds(), pipeline_->blocks(), window_length,
+      options_.real_only);
+}
+
 }  // namespace csm::core

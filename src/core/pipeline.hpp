@@ -112,6 +112,9 @@ class CsSignatureMethod final : public SignatureMethod {
   std::vector<double> compute_streaming(
       const common::MatrixView& window,
       const std::span<const double>* seed_col) const override;
+  /// Keeps the stream's newest wl + 1 columns normalised (WindowSmoother).
+  std::unique_ptr<StreamEmitter> make_stream_emitter(
+      std::size_t window_length) const override;
 
   const CsOptions& options() const noexcept { return options_; }
   /// Null when untrained.

@@ -35,6 +35,10 @@
 #include "common/matrix.hpp"
 #include "common/matrix_view.hpp"
 
+namespace csm::common {
+class RingMatrix;
+}
+
 namespace csm::core {
 
 namespace codec {
@@ -43,6 +47,20 @@ class Source;
 }
 
 struct TrainContext;  // core/training.hpp: reusable workspace + cancel token.
+
+/// What a stream keeps between the windows it emits with one method (see
+/// SignatureMethod::make_stream_emitter).
+class StreamEmitter {
+ public:
+  virtual ~StreamEmitter() = default;
+
+  /// Feature vector of the newest window of `history`: the same bytes as
+  /// compute_streaming over history.latest_view(wl), seeded with
+  /// history.newest(wl) when history.size() > wl. A stream calls this with
+  /// one ring for the emitter's whole life, after every push that completes
+  /// a window.
+  virtual std::vector<double> emit(const common::RingMatrix& history) = 0;
+};
 
 /// Abstract signature extractor.
 class SignatureMethod {
@@ -127,6 +145,13 @@ class SignatureMethod {
     (void)seed_col;
     return compute(window);
   }
+
+  /// Makes the state one stream keeps for windows of `window_length`
+  /// columns. The default keeps none and hands each window to
+  /// compute_streaming(); CS keeps its newest columns normalised. The
+  /// emitter may refer to this method and must not outlive it.
+  virtual std::unique_ptr<StreamEmitter> make_stream_emitter(
+      std::size_t window_length) const;
 
   /// Thin offline overload: `prev_column` holds the column preceding the
   /// window in its column 0 (the historical calling convention of the batch

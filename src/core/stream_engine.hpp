@@ -10,8 +10,13 @@
 // feature vectors in per-node queues for downstream consumers (classifiers,
 // dashboards), and keeps aggregate throughput counters so operators can see
 // samples/sec across the whole fleet. Memory stays bounded: each node holds
-// exactly n_sensors x history_length doubles of history plus its undrained
-// queue.
+// n_sensors x history_length doubles of history when it can retrain, and
+// n_sensors x (window_length + 1) when it cannot (retrain_interval == 0
+// under any policy but kOnDrift), plus its undrained queue. A CS node adds
+// its emit cache: window_length + 1 normalised columns of about n_sensors
+// doubles each (block-overlap rows appear twice, and a lane group pads its
+// shorter blocks to its longest), and the block layout that indexes it,
+// four values per cached row.
 //
 // Concurrency contract: ingest(), ingest_batch(), drain(), pending(),
 // stats(), remove_node() and every add_node() overload may be called

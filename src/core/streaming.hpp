@@ -60,6 +60,10 @@ struct StreamOptions {
   /// Retrain the model every this many samples (0 = never retrain). The
   /// retrain uses the last `history_length` buffered columns.
   std::size_t retrain_interval = 0;
+  /// Columns of raw history a stream that can retrain keeps for the fit.
+  /// A stream that never retrains (retrain_interval == 0 under any policy
+  /// but kOnDrift) keeps only window_length + 1 columns, the window and its
+  /// seed, whatever this says; it must still exceed window_length.
   std::size_t history_length = 1024;
   /// Backpressure bound on each StreamEngine node's undrained signature
   /// queue (0 = unbounded). When a slow consumer lets a queue grow past

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/method_registry.hpp"
@@ -126,6 +127,21 @@ TEST(CsModel, CodecRejectsStructurallyInvalidBodies) {
   test_util::expect_rejected(
       [&] { return registry.decode(codec::frame_record("cs", body)); },
       "exceeds the element cap");
+}
+
+TEST(CsModel, DecodeCostDoesNotDependOnTheBlockCount) {
+  // fuzz/regressions/model-text/huge-blocks.csmt: `blocks` is a scalar, so
+  // a few bytes can declare any count. Decoding must not size anything by
+  // it (only a stream's emit state does); a decoder that did would throw
+  // std::length_error or std::bad_alloc here instead of a runtime_error.
+  const MethodRegistry registry = cs_registry();
+  const std::string text =
+      "csmethod v2 cs\nblocks 1000000000000000\nreal-only 0\n"
+      "perm 3 2 0 1\nlo 3 0 0 0\nhi 3 1 1 1\n";
+  const std::unique_ptr<SignatureMethod> method = registry.deserialize(text);
+  const auto& cs = dynamic_cast<const CsSignatureMethod&>(*method);
+  EXPECT_EQ(cs.options().blocks, 1000000000000000u);
+  EXPECT_EQ(codec::encode_text(*method), text);
 }
 
 TEST(CsModel, ConstructorRejectsNonFiniteBounds) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -13,7 +14,9 @@
 #include "baselines/pca.hpp"
 #include "baselines/tuncer.hpp"
 #include "common/cancel.hpp"
+#include "common/ring_matrix.hpp"
 #include "common/rng.hpp"
+#include "core/smoothing.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
 
@@ -547,6 +550,135 @@ TEST(MethodStreamDrift, OptionValidation) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(drift_options().validate());
+}
+
+// --------------------------------------------------------------------------
+// The CS emit cache. A CS stream keeps its newest columns normalised and
+// rebuilds that cache from the raw ring whenever its model changes; every
+// emit must still carry the bytes smooth_window computes over the same ring
+// window with the live model, right after a swap included.
+// --------------------------------------------------------------------------
+
+std::shared_ptr<const SignatureMethod> cs_method(const common::Matrix& train_on,
+                                                 const CsOptions& cs) {
+  return std::make_shared<const CsSignatureMethod>(
+      std::make_shared<const CsPipeline>(train(train_on), cs));
+}
+
+// Pushes `data` into `stream` column by column, `rounds` times over, and
+// checks each emitted vector against smooth_window over a reference ring
+// fed the same columns. Returns how many emits were the first after a model
+// swap. `pause` sleeps after each column (lets async fits land).
+std::size_t check_cs_emits(MethodStream& stream, const common::Matrix& data,
+                           std::size_t rounds = 1,
+                           std::chrono::microseconds pause = {}) {
+  const std::size_t wl = stream.options().window_length;
+  common::RingMatrix ring(data.rows(), wl + 1);
+  std::vector<double> column(data.rows());
+  std::size_t swaps_seen = stream.retrain_count();
+  std::size_t after_swap = 0;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t c = 0; c < data.cols(); ++c) {
+      for (std::size_t r = 0; r < data.rows(); ++r) column[r] = data(r, c);
+      ring.push(column);
+      const std::optional<std::vector<double>> sig = stream.push(column);
+      if (pause.count() > 0) std::this_thread::sleep_for(pause);
+      if (!sig) continue;
+      const auto& cs = dynamic_cast<const CsSignatureMethod&>(stream.method());
+      const CsModel& model = cs.pipeline()->model();
+      const bool seeded = ring.size() > wl;
+      const std::span<const double> seed =
+          seeded ? ring.newest(wl) : std::span<const double>();
+      const std::vector<double> want =
+          smooth_window(ring.latest_view(wl), model.permutation(),
+                        model.bounds(), seeded ? &seed : nullptr,
+                        cs.options().resolve_blocks(model.n_sensors()))
+              .flatten(cs.options().real_only);
+      EXPECT_EQ(sig->size(), want.size());
+      if (sig->size() == want.size()) {
+        EXPECT_EQ(std::memcmp(sig->data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "emit " << stream.signatures_emitted();
+      }
+      if (stream.retrain_count() != swaps_seen) {
+        swaps_seen = stream.retrain_count();
+        ++after_swap;
+      }
+    }
+  }
+  return after_swap;
+}
+
+StreamOptions cs_cache_options(RetrainPolicy policy) {
+  StreamOptions opts = stream_options();  // wl=20, ws=10.
+  opts.cs.blocks = 4;                     // 9 sensors: overlapping blocks.
+  opts.history_length = 64;
+  opts.retrain_policy = policy;
+  return opts;
+}
+
+TEST(MethodStreamCsCache, SyncPeriodicSwapsStayByteIdentical) {
+  const common::Matrix data = wave_matrix(9, 400, 61);
+  // A retrain every 35 samples lands between emits; one every 3 swaps the
+  // model several times between two emits.
+  for (const std::size_t interval : {35u, 3u}) {
+    StreamOptions opts = cs_cache_options(RetrainPolicy::kSync);
+    opts.retrain_interval = interval;
+    MethodStream stream(cs_method(data.sub_cols(0, 64), opts.cs), opts);
+    EXPECT_GE(check_cs_emits(stream, data), 5u) << "interval " << interval;
+  }
+}
+
+TEST(MethodStreamCsCache, AsyncSwapsStayByteIdentical) {
+  const common::Matrix data = wave_matrix(9, 400, 62);
+  StreamOptions opts = cs_cache_options(RetrainPolicy::kAsync);
+  opts.retrain_interval = 40;
+  opts.cs.real_only = true;
+  MethodStream stream(cs_method(data.sub_cols(0, 64), opts.cs), opts);
+  EXPECT_GE(check_cs_emits(stream, data, 2, std::chrono::microseconds(200)),
+            1u);
+}
+
+TEST(MethodStreamCsCache, DriftRetrainStaysByteIdentical) {
+  const common::Matrix data = regime_matrix(6, 600, 300, 51);
+  StreamOptions opts = drift_options();
+  MethodStream stream(cs_method(data.sub_cols(0, 64), opts.cs), opts);
+  EXPECT_GE(check_cs_emits(stream, data), 1u);
+  EXPECT_GE(stream.drift_retrains(), 1u);
+}
+
+TEST(MethodStream, NonRetrainingStreamIgnoresHistoryLength) {
+  // Without retraining the ring holds only wl + 1 columns, whatever
+  // history_length says; the signatures must not notice.
+  const common::Matrix data = wave_matrix(12, 700, 63);
+  StreamOptions opts;
+  opts.window_length = 60;
+  opts.window_step = 10;
+  opts.cs.blocks = 8;
+  const auto emit_all = [&](std::shared_ptr<const SignatureMethod> method,
+                            std::size_t history) {
+    StreamOptions o = opts;
+    o.history_length = history;
+    MethodStream stream(std::move(method), o, 12);
+    return stream.push_all(data);
+  };
+  const auto cs = cs_method(data.sub_cols(0, 200), opts.cs);
+  const auto bodik = std::make_shared<const baselines::BodikMethod>();
+  for (const std::shared_ptr<const SignatureMethod>& method :
+       {cs, std::shared_ptr<const SignatureMethod>(bodik)}) {
+    const auto small = emit_all(method, 61);
+    const auto large = emit_all(method, 1024);
+    ASSERT_EQ(small.size(), large.size()) << method->name();
+    ASSERT_EQ(small.size(), 65u);
+    for (std::size_t k = 0; k < small.size(); ++k) {
+      ASSERT_EQ(small[k].size(), large[k].size());
+      EXPECT_EQ(std::memcmp(small[k].data(), large[k].data(),
+                            small[k].size() * sizeof(double)),
+                0)
+          << method->name() << " signature " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "common/cpu.hpp"
+#include "common/rng.hpp"
 
 namespace csm::core {
 namespace {
@@ -116,6 +124,192 @@ TEST(Smooth, CsAllAveragesOverTimeOnly) {
   const Signature sig = smooth(sorted, 2);
   EXPECT_DOUBLE_EQ(sig.real()[0], 0.5);
   EXPECT_DOUBLE_EQ(sig.real()[1], 0.5);
+}
+
+// --------------------------------------------------------------------------
+// WindowSmoother against the smooth_window reference, byte for byte, on
+// every ISA path the host has.
+// --------------------------------------------------------------------------
+
+// A model with every kind of bounds the kernel must treat like
+// MinMaxBounds::normalize: ordinary ones, degenerate ones (hi == lo and
+// hi < lo, which normalise to 0), and lo == 0, where a -0.0 sample
+// normalises to -0.0.
+struct LaneModel {
+  std::vector<std::size_t> perm;
+  std::vector<stats::MinMaxBounds> bounds;
+};
+
+LaneModel lane_model(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  LaneModel m{rng.permutation(n), std::vector<stats::MinMaxBounds>(n)};
+  for (std::size_t r = 0; r < n; ++r) {
+    const double lo = rng.uniform(-1.0, 0.0);
+    m.bounds[r] = {lo, lo + rng.uniform(0.5, 2.0)};
+    if (r % 7 == 3) m.bounds[r].hi = lo;
+    if (r % 11 == 5) m.bounds[r].hi = lo - 0.5;
+    if (r % 5 == 1) m.bounds[r] = {0.0, 1.0};
+  }
+  return m;
+}
+
+// Samples inside and beyond the bounds, plus NaN, +-inf and -0.0.
+double lane_sample(common::Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.02) return std::numeric_limits<double>::quiet_NaN();
+  if (u < 0.03) return std::numeric_limits<double>::infinity();
+  if (u < 0.04) return -std::numeric_limits<double>::infinity();
+  if (u < 0.07) return -0.0;
+  return rng.uniform(-2.0, 2.0);
+}
+
+std::vector<common::Isa> lane_paths() {
+  std::vector<common::Isa> paths;
+  for (const common::Isa isa :
+       {common::Isa::kScalar, common::Isa::kAvx2, common::Isa::kAvx512f}) {
+    if (common::cpu_has(isa)) paths.push_back(isa);
+  }
+  return paths;
+}
+
+void expect_same_bytes(const std::vector<double>& got,
+                       const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+// l = 1, 3, 8, 9, 17, CS-All (l = n) and l > n.
+std::vector<std::size_t> lane_block_counts(std::size_t n) {
+  std::vector<std::size_t> ls = {1, 3, 8, 9, 17, n, n + 5};
+  std::sort(ls.begin(), ls.end());
+  ls.erase(std::unique(ls.begin(), ls.end()), ls.end());
+  return ls;
+}
+
+const std::size_t kLaneSensorCounts[] = {1, 2, 3, 5, 8, 9, 17, 32, 33, 512};
+
+// Pushes a stream through a ring and checks every emit of a smoother per
+// path (each with its own cache) against smooth_window over the ring.
+void check_streamed(std::size_t n, std::size_t l, std::size_t wl,
+                    std::size_t ws, std::size_t capacity, bool real_only) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " l=" + std::to_string(l) +
+               " wl=" + std::to_string(wl) + " ws=" + std::to_string(ws) +
+               " capacity=" + std::to_string(capacity));
+  const LaneModel m = lane_model(n, 200 + n);
+  const std::vector<common::Isa> paths = lane_paths();
+  WindowSmoother dispatched(m.perm, m.bounds, l, wl, real_only);
+  std::vector<WindowSmoother> explicit_paths;
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    explicit_paths.emplace_back(m.perm, m.bounds, l, wl, real_only);
+  }
+  common::RingMatrix ring(n, capacity);
+  common::Rng rng(n * 31 + l * 7 + wl * 3 + ws);
+  const std::size_t pushes = wl + 3 * capacity + 2 * ws;
+  std::size_t emits = 0;
+  for (std::size_t p = 1; p <= pushes; ++p) {
+    for (double& v : ring.push_slot()) v = lane_sample(rng);
+    if (p < wl || (p - wl) % ws != 0) continue;
+    const std::span<const double> seed =
+        ring.size() > wl ? ring.newest(wl) : std::span<const double>();
+    const std::vector<double> want =
+        smooth_window(ring.latest_view(wl), m.perm, m.bounds,
+                      ring.size() > wl ? &seed : nullptr, l)
+            .flatten(real_only);
+    expect_same_bytes(dispatched.emit(ring), want);
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+      SCOPED_TRACE(common::isa_name(paths[k]));
+      expect_same_bytes(explicit_paths[k].emit_with(paths[k], ring), want);
+    }
+    ++emits;
+  }
+  EXPECT_GT(emits, 1u);
+}
+
+TEST(WindowSmoother, StreamMatchesSmoothWindowOnEveryPath) {
+  // The first emit is unseeded; the ring wraps several times, at wl + 1
+  // (the smallest ring a stream uses) and at an odd larger capacity; steps
+  // of 1, 10 and more than wl (columns no window reads are never cached).
+  for (const std::size_t n : kLaneSensorCounts) {
+    for (const std::size_t l : lane_block_counts(n)) {
+      for (const std::size_t wl : {1u, 2u, 60u}) {
+        for (const std::size_t ws : {std::size_t{1}, std::size_t{10}, wl + 7}) {
+          if (n >= 512 && ws == 1) continue;  // Covered by ws = 10 and wl + 7.
+          const bool real_only = ws == 10;
+          check_streamed(n, l, wl, ws, wl + 1, real_only);
+          check_streamed(n, l, wl, ws, wl + 14, real_only);
+        }
+      }
+    }
+  }
+}
+
+TEST(WindowSmoother, ClearedRingIsRefilled) {
+  // After a clear the ring restarts its push count; the next emit must not
+  // sum columns cached before the clear.
+  const std::size_t n = 9, l = 4, wl = 5;
+  const LaneModel m = lane_model(n, 3);
+  WindowSmoother smoother(m.perm, m.bounds, l, wl, false);
+  common::RingMatrix ring(n, wl + 1);
+  common::Rng rng(5);
+  const auto push = [&](std::size_t count) {
+    for (std::size_t p = 0; p < count; ++p) {
+      for (double& v : ring.push_slot()) v = lane_sample(rng);
+    }
+  };
+  const auto want = [&] {
+    const std::span<const double> seed =
+        ring.size() > wl ? ring.newest(wl) : std::span<const double>();
+    return smooth_window(ring.latest_view(wl), m.perm, m.bounds,
+                         ring.size() > wl ? &seed : nullptr, l)
+        .flatten();
+  };
+  push(3 * wl);
+  expect_same_bytes(smoother.emit(ring), want());
+  ring.clear();
+  push(wl);  // Unseeded, fewer pushes than before the clear.
+  expect_same_bytes(smoother.emit(ring), want());
+  push(2);
+  expect_same_bytes(smoother.emit(ring), want());
+}
+
+TEST(LaneKernel, UnavailablePathThrows) {
+  const LaneModel m = lane_model(4, 1);
+  common::RingMatrix ring(4, 4);
+  for (int i = 0; i < 3; ++i) ring.push(std::vector<double>(4, 0.5));
+  WindowSmoother smoother(m.perm, m.bounds, 2, 3, false);
+  EXPECT_THROW(smoother.emit_with(common::Isa::kPclmul, ring),
+               std::invalid_argument);
+  for (const common::Isa isa : {common::Isa::kAvx2, common::Isa::kAvx512f}) {
+    if (!common::cpu_has(isa)) {
+      EXPECT_THROW(smoother.emit_with(isa, ring), std::invalid_argument);
+    }
+  }
+}
+
+TEST(LaneKernel, Validation) {
+  const LaneModel m = lane_model(4, 2);
+  EXPECT_THROW(LaneLayout({}, {}, 1), std::invalid_argument);
+  EXPECT_THROW(LaneLayout(m.perm, {m.bounds.data(), 3}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(LaneLayout(m.perm, m.bounds, 0), std::invalid_argument);
+  const std::vector<std::size_t> bad_perm = {0, 1, 2, 4};
+  EXPECT_THROW(LaneLayout(bad_perm, m.bounds, 1), std::invalid_argument);
+  EXPECT_THROW(WindowSmoother(bad_perm, m.bounds, 2, 3, false),
+               std::invalid_argument);
+
+  EXPECT_THROW(WindowSmoother(m.perm, m.bounds, 2, 0, false),
+               std::invalid_argument);
+  WindowSmoother smoother(m.perm, m.bounds, 2, 3, false);
+  common::RingMatrix small(4, 3);  // No room for the seed column.
+  for (int i = 0; i < 3; ++i) small.push(std::vector<double>(4, 0.5));
+  EXPECT_THROW(smoother.emit(small), std::invalid_argument);
+  common::RingMatrix ring(4, 4);
+  ring.push(std::vector<double>(4, 0.5));  // Shorter than the window.
+  EXPECT_THROW(smoother.emit(ring), std::invalid_argument);
+  common::RingMatrix wide(5, 4);
+  for (int i = 0; i < 3; ++i) wide.push(std::vector<double>(5, 0.5));
+  EXPECT_THROW(smoother.emit(wide), std::invalid_argument);
 }
 
 }  // namespace
