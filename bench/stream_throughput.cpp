@@ -34,7 +34,8 @@
 // The train-kernel table prices the retrain fit itself: the cache-tiled
 // shifted-correlation pass against the scalar reference it replaced, with a
 // bit-identity probe (the driver fails on a single differing byte) and a 2x
-// speedup floor at n=1024. The retrain-policy table then pushes the same
+// speedup floor at n=1024 on the dispatched path; "train-kernel/<path>/"
+// then times each ISA path the host has, each held to the same bytes. The retrain-policy table then pushes the same
 // single-node stream under no retraining, inline (sync) retraining and
 // shadow-fit (async) retraining, recording per-push wall times: the sync
 // stall surfaces in the p99/max columns, and the driver fails if async
@@ -894,6 +895,33 @@ int bench_run(Runner& run) {
                      "FAIL: tiled kernel only %.2fx faster than the scalar "
                      "reference at n=1024\n", speedup);
         return 1;
+      }
+      // Every ISA path the host has, each held to the reference's bytes.
+      for (const common::Isa isa : {common::Isa::kScalar, common::Isa::kAvx2,
+                                    common::Isa::kAvx512f}) {
+        if (!common::cpu_has(isa)) continue;
+        common::Matrix path_out;
+        CaseResult& path = run.measure(
+            std::string("train-kernel/") + common::isa_name(isa) + "/" + point,
+            coefficients, [&] {
+              path_out = stats::shifted_correlation_matrix_with(isa, view, ws);
+            });
+        path.seed = seed;
+        path.param("sensors", std::to_string(n));
+        path.param("samples", std::to_string(kernel_t));
+        path.param("path", common::isa_name(isa));
+        if (std::memcmp(path_out.data(), ref_out.data(),
+                        ref_out.size() * sizeof(double)) != 0) {
+          std::fprintf(stderr,
+                       "FAIL: %s correlation kernel is not bit-identical to "
+                       "the reference at %s\n", common::isa_name(isa),
+                       point.c_str());
+          return 1;
+        }
+        const double path_speedup = path.items_per_sec / ref.items_per_sec;
+        path.metric("speedup_vs_reference", path_speedup);
+        std::printf("%8s %9s %16.0f %16.0f %8.1fx\n", common::isa_name(isa),
+                    "", ref.items_per_sec, path.items_per_sec, path_speedup);
       }
     }
   }

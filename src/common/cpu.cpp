@@ -1,5 +1,8 @@
 #include "common/cpu.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace csm::common {
 
 namespace {
@@ -52,6 +55,11 @@ const char* isa_name(Isa isa) noexcept {
       return "avx512f";
   }
   return "unknown";
+}
+
+void throw_no_kernel(Isa isa, const char* who) {
+  throw std::invalid_argument(std::string(who) + ": no " + isa_name(isa) +
+                              " kernel on this CPU");
 }
 
 }  // namespace csm::common

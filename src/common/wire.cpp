@@ -3,8 +3,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -130,17 +128,13 @@ __attribute__((target("pclmul"))) std::uint32_t crc_update_clmul(
 
 #endif  // __x86_64__
 
-CrcUpdate crc_update_for(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return crc_update_table;
+using CrcPaths = IsaPaths<Isa::kPclmul>;
+
+CrcUpdate crc_update_for([[maybe_unused]] Isa isa) {
 #if defined(__x86_64__)
-    case Isa::kPclmul:
-      return crc_update_clmul;
+  if (isa == Isa::kPclmul) return crc_update_clmul;
 #endif
-    default:
-      return nullptr;
-  }
+  return crc_update_table;
 }
 
 std::uint32_t checksum(CrcUpdate update, std::span<const std::uint8_t> data,
@@ -157,19 +151,13 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prior) {
-  static const CrcUpdate update =
-      cpu_has(Isa::kPclmul) ? crc_update_for(Isa::kPclmul) : crc_update_table;
-  return checksum(update, data, prior);
+  return checksum(crc_update_for(CrcPaths::widest()), data, prior);
 }
 
 std::uint32_t crc32_with(Isa isa, std::span<const std::uint8_t> data,
                          std::uint32_t prior) {
-  const CrcUpdate update = crc_update_for(isa);
-  if (update == nullptr || !cpu_has(isa)) {
-    throw std::invalid_argument(std::string("crc32: no ") + isa_name(isa) +
-                                " path on this CPU");
-  }
-  return checksum(update, data, prior);
+  return checksum(crc_update_for(CrcPaths::require(isa, "crc32")), data,
+                  prior);
 }
 
 }  // namespace csm::common::wire

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 #include "stats/finite_diff.hpp"
 
@@ -172,10 +167,12 @@ LaneLayout::LaneLayout(std::span<const std::size_t> permutation,
   }
   std::size_t entries = 0;
   for (std::size_t first = 0; first < l; first += kLanes) {
-    Group g{first, std::min(kLanes, l - first), 0, entries};
-    g.rows = *std::max_element(block_rows_.begin() + first,
-                               block_rows_.begin() + first + g.lanes);
-    entries += g.rows * g.lanes;
+    const std::size_t last = std::min(l, first + kLanes);
+    const Group g{first,
+                  *std::max_element(block_rows_.begin() + first,
+                                    block_rows_.begin() + last),
+                  entries};
+    entries += g.rows * kLanes;
     groups_.push_back(g);
   }
   row_.resize(entries);
@@ -183,11 +180,10 @@ LaneLayout::LaneLayout(std::span<const std::size_t> permutation,
   hi_.resize(entries);
   span_.resize(entries);
   for (const Group& g : groups_) {
-    for (std::size_t j = 0; j < g.rows; ++j) {
-      for (std::size_t k = 0; k < g.lanes; ++k) {
-        const std::size_t e = g.first_entry + j * g.lanes + k;
-        const BlockRange& range = ranges[g.first_block + k];
-        if (j >= range.size()) continue;  // A pad: row 0, bounds {0, 0}.
+    for (std::size_t k = 0; k < kLanes && g.first_block + k < l; ++k) {
+      const BlockRange& range = ranges[g.first_block + k];
+      for (std::size_t j = 0; j < range.size(); ++j) {
+        const std::size_t e = g.first_entry + j * kLanes + k;
         const std::size_t orig = permutation[range.begin + j];
         row_[e] = static_cast<std::int64_t>(orig);
         lo_[e] = bounds[orig].lo;
@@ -200,285 +196,168 @@ LaneLayout::LaneLayout(std::span<const std::size_t> permutation,
 
 namespace {
 
-// The lane kernels work on a cache of normalised columns: per group,
-// [rows][slots][lanes] doubles, one slot per column.
+constexpr std::size_t kLanes = LaneLayout::kLanes;
+
+// The lane kernel works on a cache of normalised columns: per group,
+// [rows][slots][kLanes] doubles, one slot per column. Every loop below is
+// written once over the vector width kW and compiled per target.
 //
-// fill normalises one raw column into a slot with MinMaxBounds::normalize's
-// exact operations: the same subtract and divide (hi - lo is the same double
-// whether computed here or there), the same clamps (a NaN passes both), and
-// +0.0 where hi <= lo.
+// fill_group normalises one raw column into a slot with
+// MinMaxBounds::normalize's exact operations: the same subtract and divide
+// (hi - lo is the same double whether computed here or there), the same
+// clamps (a NaN passes both), and +0.0 where hi <= lo.
 //
-// sum adds the window's slots. Lane k of a group sums block k of the group
-// with exactly the op sequence of smooth_window's block loop: the
+// sum_group adds the window's slots. Lane k of a group sums block k of the
+// group with exactly the op sequence of smooth_window's block loop: the
 // accumulators start at +0.0, rows ascend, columns ascend within a row, the
 // real channel adds the value, the imaginary channel adds the backward
 // difference (the first column's against the seed, or +0.0 without one). A
-// lane only ever sees its own block, so running eight of them side by side
+// lane only ever sees its own block, so running kW of them side by side
 // changes no result; pads add +0.0, which leaves any sum but -0.0
 // unchanged, and a sum that starts at +0.0 is never -0.0. No path fuses a
 // multiply and an add.
 
-// One raw column into a group's slot: entry e of row j (e = j * lanes +
-// lane) reads col[offset[e]], offset being the group's LaneLayout::row(),
-// and goes to dst[j * stride + lane].
-struct FillGroup {
-  const double* col;
-  const std::int64_t* offset;
-  const double* lo;
-  const double* hi;
-  const double* span;
-  double* dst;
-  std::size_t lanes, rows, stride;
-};
-
-// A group's window: its columns start at slot `first` and wrap after
-// `slots`; the seed is the slot after the last (slots == wl + 1).
-struct SumGroup {
-  const double* data;
-  std::size_t lanes, rows, slots, first, wl;
-  bool seeded;
-};
-
-using FillKernel = void (*)(const FillGroup&);
-using SumKernel = void (*)(const SumGroup&, double* re, double* im);
-
-struct LaneKernels {
-  FillKernel fill = nullptr;
-  SumKernel sum = nullptr;
-};
-
-constexpr std::size_t kLanes = LaneLayout::kLanes;
-
-// Portable paths: any lane count up to kLanes (the last group's too).
-void fill_portable(const FillGroup& g) {
+// Raw column `col` into the slot at `dst`: entry e = j * kLanes + k of the
+// group reads col[row(e)] and goes to dst[j * stride + k].
+template <std::size_t kW>
+[[gnu::always_inline]] inline void fill_group(const LaneLayout& layout,
+                                              const LaneLayout::Group& g,
+                                              const double* col, double* dst,
+                                              std::size_t stride) {
+  using Vw = common::Vec<kW>;
+  using V = typename Vw::V;
+  const std::int64_t* row = layout.row().data() + g.first_entry;
+  const double* lo = layout.lo().data() + g.first_entry;
+  const double* hi = layout.hi().data() + g.first_entry;
+  const double* span = layout.span().data() + g.first_entry;
+  const V zero = {};
+  const V one = zero + 1.0;
   for (std::size_t j = 0; j < g.rows; ++j) {
-    const std::size_t e0 = j * g.lanes;
-    double* dst = g.dst + j * g.stride;
-    for (std::size_t k = 0; k < g.lanes; ++k) {
-      const std::size_t e = e0 + k;
-      dst[k] = stats::MinMaxBounds{g.lo[e], g.hi[e]}.normalize(
-          g.col[g.offset[e]]);
+    CSM_UNROLL
+    for (std::size_t k = 0; k < kLanes; k += kW) {
+      const std::size_t e = j * kLanes + k;
+      V v = {};
+      CSM_UNROLL
+      for (std::size_t q = 0; q < kW; ++q) v[q] = col[row[e + q]];
+      const V l = Vw::at(lo + e);
+      const V h = Vw::at(hi + e);
+      V u = (v - l) / Vw::at(span + e);
+      u = u < zero ? zero : u;
+      u = u > one ? one : u;
+      Vw::at(dst + j * stride + k) = h <= l ? zero : u;
     }
   }
 }
 
-void sum_portable(const SumGroup& g, double* re, double* im) {
-  double r[kLanes] = {};
-  double m[kLanes] = {};
-  const std::size_t lanes = g.lanes;
-  const std::size_t seed_slot = (g.first + g.wl) % g.slots;
-  for (std::size_t j = 0; j < g.rows; ++j) {
-    const double* row = g.data + j * g.slots * lanes;
-    const double* cur = row + g.first * lanes;
-    const double* seed = row + seed_slot * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      r[k] += cur[k];
-      m[k] += g.seeded ? cur[k] - seed[k] : 0.0;
+// The window of `wl` columns of a group's cache `data` that starts at slot
+// `first` and wraps after `slots` (= wl + 1; the seed is the slot after the
+// window's last), summed into re[0, kLanes) and im[0, kLanes).
+template <std::size_t kW>
+[[gnu::always_inline]] inline void sum_group(const double* data,
+                                             std::size_t rows,
+                                             std::size_t slots,
+                                             std::size_t first, std::size_t wl,
+                                             bool seeded, double* re,
+                                             double* im) {
+  using Vw = common::Vec<kW>;
+  using V = typename Vw::V;
+  constexpr std::size_t kVecs = kLanes / kW;
+  const V zero = {};
+  V r[kVecs];
+  V m[kVecs];
+  CSM_UNROLL
+  for (std::size_t v = 0; v < kVecs; ++v) r[v] = m[v] = zero;
+  const std::size_t seed_slot = (first + wl) % slots;
+  for (std::size_t j = 0; j < rows; ++j) {
+    const double* row = data + j * slots * kLanes;
+    V cur[kVecs];
+    CSM_UNROLL
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      cur[v] = Vw::at(row + first * kLanes + v * kW);
+      r[v] += cur[v];
+      m[v] += seeded ? cur[v] - Vw::at(row + seed_slot * kLanes + v * kW)
+                     : zero;
     }
-    std::size_t s = g.first;
-    for (std::size_t c = 1; c < g.wl; ++c) {
-      const double* prev = cur;
-      s = s + 1 == g.slots ? 0 : s + 1;
-      cur = row + s * lanes;
-      for (std::size_t k = 0; k < lanes; ++k) {
-        r[k] += cur[k];
-        m[k] += cur[k] - prev[k];
+    std::size_t s = first;
+    for (std::size_t c = 1; c < wl; ++c) {
+      s = s + 1 == slots ? 0 : s + 1;
+      CSM_UNROLL
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        const V x = Vw::at(row + s * kLanes + v * kW);
+        r[v] += x;
+        m[v] += x - cur[v];
+        cur[v] = x;
       }
     }
   }
-  std::copy_n(r, lanes, re);
-  std::copy_n(m, lanes, im);
+  CSM_UNROLL
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    Vw::at(re + v * kW) = r[v];
+    Vw::at(im + v * kW) = m[v];
+  }
 }
+
+// One emit: normalise stream columns [from, ring.pushed()) into their slots
+// (column q lives in slot q % (wl + 1)), then sum the newest wl columns of
+// every group into acc: the real sums of layout.lanes() lanes, then the
+// imaginary ones.
+struct LaneEmit {
+  const LaneLayout& layout;
+  const common::RingMatrix& ring;
+  std::size_t from;
+  std::size_t wl;
+  double* cache;
+  double* acc;
+};
+
+template <std::size_t kW>
+[[gnu::always_inline]] inline void emit_lanes(const LaneEmit& job) {
+  static_assert(sizeof(typename common::Vec<kW>::V) == kW * sizeof(double));
+  static_assert(kLanes % kW == 0);
+  const LaneLayout& layout = job.layout;
+  const std::size_t slots = job.wl + 1;
+  const std::size_t pushed = job.ring.pushed();
+  const std::size_t oldest = pushed - job.ring.size();
+  for (std::size_t q = job.from; q < pushed; ++q) {
+    const double* col = job.ring.column(q - oldest).data();
+    for (const LaneLayout::Group& g : layout.groups()) {
+      fill_group<kW>(layout, g, col,
+                     job.cache + (g.first_entry * slots + q % slots * kLanes),
+                     slots * kLanes);
+    }
+  }
+  const std::size_t first = (pushed - job.wl) % slots;
+  const bool seeded = job.ring.size() > job.wl;
+  double* re = job.acc;
+  double* im = job.acc + layout.lanes();
+  for (const LaneLayout::Group& g : layout.groups()) {
+    sum_group<kW>(job.cache + g.first_entry * slots, g.rows, slots, first,
+                  job.wl, seeded, re + g.first_block, im + g.first_block);
+  }
+}
+
+using LaneKernel = void (*)(const LaneEmit&);
 
 #if defined(__x86_64__)
-
-__attribute__((target("avx512f"))) void fill_avx512(const FillGroup& g) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d one = _mm512_set1_pd(1.0);
-  for (std::size_t j = 0; j < g.rows; ++j) {
-    const std::size_t e = j * kLanes;
-    const __m512d lo = _mm512_loadu_pd(g.lo + e);
-    const __mmask8 live =
-        _mm512_cmp_pd_mask(_mm512_loadu_pd(g.hi + e), lo, _CMP_NLE_UQ);
-    // The masked form: GCC 12's unmasked gather reads an undefined source.
-    const __m512d v = _mm512_mask_i64gather_pd(
-        zero, 0xFF, _mm512_loadu_si512(g.offset + e), g.col, 8);
-    const __m512d u =
-        _mm512_div_pd(_mm512_sub_pd(v, lo), _mm512_loadu_pd(g.span + e));
-    const __mmask8 below = _mm512_cmp_pd_mask(u, zero, _CMP_LT_OQ);
-    const __mmask8 above = _mm512_cmp_pd_mask(u, one, _CMP_GT_OQ);
-    const __m512d clamped =
-        _mm512_mask_mov_pd(_mm512_mask_mov_pd(u, below, zero), above, one);
-    _mm512_storeu_pd(g.dst + j * g.stride, _mm512_maskz_mov_pd(live, clamped));
-  }
+__attribute__((target("avx512f"))) void emit_avx512(const LaneEmit& job) {
+  emit_lanes<8>(job);
 }
 
-__attribute__((target("avx512f"))) void sum_avx512(const SumGroup& g,
-                                                   double* re, double* im) {
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d r = zero;
-  __m512d m = zero;
-  const std::size_t seed_slot = (g.first + g.wl) % g.slots;
-  for (std::size_t j = 0; j < g.rows; ++j) {
-    const double* row = g.data + j * g.slots * kLanes;
-    __m512d cur = _mm512_loadu_pd(row + g.first * kLanes);
-    r = _mm512_add_pd(r, cur);
-    m = _mm512_add_pd(
-        m, g.seeded
-               ? _mm512_sub_pd(cur, _mm512_loadu_pd(row + seed_slot * kLanes))
-               : zero);
-    std::size_t s = g.first;
-    for (std::size_t c = 1; c < g.wl; ++c) {
-      s = s + 1 == g.slots ? 0 : s + 1;
-      const __m512d x = _mm512_loadu_pd(row + s * kLanes);
-      r = _mm512_add_pd(r, x);
-      m = _mm512_add_pd(m, _mm512_sub_pd(x, cur));
-      cur = x;
-    }
-  }
-  _mm512_storeu_pd(re, r);
-  _mm512_storeu_pd(im, m);
+__attribute__((target("avx2"))) void emit_avx2(const LaneEmit& job) {
+  emit_lanes<4>(job);
 }
-
-// AVX2 runs a group as two four-lane halves.
-__attribute__((target("avx2"))) void fill_avx2(const FillGroup& g) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (std::size_t j = 0; j < g.rows; ++j) {
-    for (std::size_t h = 0; h < 2; ++h) {
-      const std::size_t e = j * kLanes + 4 * h;
-      const __m256d lo = _mm256_loadu_pd(g.lo + e);
-      const __m256d live =
-          _mm256_cmp_pd(_mm256_loadu_pd(g.hi + e), lo, _CMP_NLE_UQ);
-      const __m256d v = _mm256_i64gather_pd(
-          g.col,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(g.offset + e)),
-          8);
-      const __m256d u =
-          _mm256_div_pd(_mm256_sub_pd(v, lo), _mm256_loadu_pd(g.span + e));
-      const __m256d below = _mm256_cmp_pd(u, zero, _CMP_LT_OQ);
-      const __m256d above = _mm256_cmp_pd(u, one, _CMP_GT_OQ);
-      const __m256d clamped =
-          _mm256_blendv_pd(_mm256_blendv_pd(u, zero, below), one, above);
-      _mm256_storeu_pd(g.dst + j * g.stride + 4 * h,
-                       _mm256_and_pd(clamped, live));
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void sum_avx2(const SumGroup& g, double* re,
-                                              double* im) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d r[2] = {zero, zero};
-  __m256d m[2] = {zero, zero};
-  const std::size_t seed_slot = (g.first + g.wl) % g.slots;
-  for (std::size_t j = 0; j < g.rows; ++j) {
-    const double* row = g.data + j * g.slots * kLanes;
-    __m256d cur[2];
-    for (std::size_t h = 0; h < 2; ++h) {
-      cur[h] = _mm256_loadu_pd(row + g.first * kLanes + 4 * h);
-      r[h] = _mm256_add_pd(r[h], cur[h]);
-      m[h] = _mm256_add_pd(
-          m[h], g.seeded ? _mm256_sub_pd(cur[h],
-                                         _mm256_loadu_pd(
-                                             row + seed_slot * kLanes + 4 * h))
-                         : zero);
-    }
-    std::size_t s = g.first;
-    for (std::size_t c = 1; c < g.wl; ++c) {
-      s = s + 1 == g.slots ? 0 : s + 1;
-      for (std::size_t h = 0; h < 2; ++h) {
-        const __m256d x = _mm256_loadu_pd(row + s * kLanes + 4 * h);
-        r[h] = _mm256_add_pd(r[h], x);
-        m[h] = _mm256_add_pd(m[h], _mm256_sub_pd(x, cur[h]));
-        cur[h] = x;
-      }
-    }
-  }
-  for (std::size_t h = 0; h < 2; ++h) {
-    _mm256_storeu_pd(re + 4 * h, r[h]);
-    _mm256_storeu_pd(im + 4 * h, m[h]);
-  }
-}
-
-#endif  // __x86_64__
-
-LaneKernels lane_kernels_for(common::Isa isa) {
-  switch (isa) {
-    case common::Isa::kScalar:
-      return {fill_portable, sum_portable};
-#if defined(__x86_64__)
-    case common::Isa::kAvx2:
-      return {fill_avx2, sum_avx2};
-    case common::Isa::kAvx512f:
-      return {fill_avx512, sum_avx512};
 #endif
-    default:
-      return {};
-  }
-}
 
-// The widest path this CPU runs, chosen once.
-common::Isa dispatched_lane_isa() {
-  static const common::Isa isa = [] {
-    for (const common::Isa wide : {common::Isa::kAvx512f, common::Isa::kAvx2}) {
-      if (common::cpu_has(wide)) return wide;
-    }
-    return common::Isa::kScalar;
-  }();
-  return isa;
-}
+void emit_default(const LaneEmit& job) { emit_lanes<2>(job); }
 
-void check_lane_isa(common::Isa isa, const char* who) {
-  if (lane_kernels_for(isa).fill == nullptr || !common::cpu_has(isa)) {
-    throw std::invalid_argument(std::string(who) + ": no " +
-                                common::isa_name(isa) +
-                                " kernel on this CPU");
-  }
-}
+using LanePaths = common::IsaPaths<common::Isa::kAvx512f, common::Isa::kAvx2>;
 
-// Normalises raw column `col` into `slot` of a cache of `slots` columns.
-// Full groups take the ISA path, the last group of fewer lanes the portable
-// one.
-void fill_slot(const LaneKernels& kernels, const LaneLayout& layout,
-               const double* col, double* cache, std::size_t slots,
-               std::size_t slot) {
-  for (const LaneLayout::Group& g : layout.groups()) {
-    const std::size_t e = g.first_entry;
-    const FillGroup fg{col,
-                       layout.row().data() + e,
-                       layout.lo().data() + e,
-                       layout.hi().data() + e,
-                       layout.span().data() + e,
-                       cache + e * slots + slot * g.lanes,
-                       g.lanes,
-                       g.rows,
-                       slots * g.lanes};
-    (g.lanes == kLanes ? kernels.fill : fill_portable)(fg);
-  }
-}
-
-// Sums the wl-column window starting at slot `first` of a cache of
-// wl + 1 slots, divides the sums into block means (by the same double
-// rows * wl as smooth_window; it is never 0 here), and writes the flattened
-// signature. `acc` holds 2l doubles.
-void sum_window(const LaneKernels& kernels, const LaneLayout& layout,
-                const double* cache, std::size_t wl, std::size_t first,
-                bool seeded, double* acc, std::span<double> out) {
-  const std::size_t l = layout.blocks();
-  for (const LaneLayout::Group& g : layout.groups()) {
-    const SumGroup sg{cache + g.first_entry * (wl + 1), g.lanes, g.rows,
-                      wl + 1, first, wl, seeded};
-    (g.lanes == kLanes ? kernels.sum : sum_portable)(
-        sg, acc + g.first_block, acc + l + g.first_block);
-  }
-  const bool imag = out.size() == 2 * l;
-  for (std::size_t i = 0; i < l; ++i) {
-    const double count = static_cast<double>(layout.block_rows(i)) *
-                         static_cast<double>(wl);
-    out[i] = acc[i] / count;
-    if (imag) out[l + i] = acc[l + i] / count;
-  }
+LaneKernel lane_kernel_for([[maybe_unused]] common::Isa isa) {
+#if defined(__x86_64__)
+  if (isa == common::Isa::kAvx512f) return emit_avx512;
+  if (isa == common::Isa::kAvx2) return emit_avx2;
+#endif
+  return emit_default;
 }
 
 }  // namespace
@@ -491,20 +370,19 @@ WindowSmoother::WindowSmoother(std::span<const std::size_t> permutation,
       wl_(window_length),
       real_only_(real_only),
       cache_(layout_.entries() * (window_length + 1)),
-      acc_(2 * l) {
+      acc_(2 * layout_.lanes()) {
   if (wl_ == 0) {
     throw std::invalid_argument("WindowSmoother: zero window length");
   }
 }
 
 std::vector<double> WindowSmoother::emit(const common::RingMatrix& ring) {
-  return emit_on(dispatched_lane_isa(), ring);
+  return emit_on(LanePaths::widest(), ring);
 }
 
 std::vector<double> WindowSmoother::emit_with(common::Isa isa,
                                               const common::RingMatrix& ring) {
-  check_lane_isa(isa, "WindowSmoother");
-  return emit_on(isa, ring);
+  return emit_on(LanePaths::require(isa, "WindowSmoother"), ring);
 }
 
 std::vector<double> WindowSmoother::emit_on(common::Isa isa,
@@ -519,22 +397,27 @@ std::vector<double> WindowSmoother::emit_on(common::Isa isa,
   }
 
   // Normalise the columns pushed since the last emit that the window or its
-  // seed still needs; column q of the stream lives in slot q % slots. Fewer
-  // pushes than at the last emit means the ring was cleared: refill it all.
-  const LaneKernels kernels = lane_kernels_for(isa);
+  // seed still needs. Fewer pushes than at the last emit means the ring was
+  // cleared: refill it all.
   const std::size_t pushed = ring.pushed();
   if (pushed < filled_) filled_ = 0;
-  const std::size_t oldest = pushed - ring.size();
-  for (std::size_t q = std::max(filled_, pushed - std::min(ring.size(), slots));
-       q < pushed; ++q) {
-    fill_slot(kernels, layout_, ring.column(q - oldest).data(), cache_.data(),
-              slots, q % slots);
-  }
+  const std::size_t from =
+      std::max(filled_, pushed - std::min(ring.size(), slots));
+  lane_kernel_for(isa)({layout_, ring, from, wl_, cache_.data(), acc_.data()});
   filled_ = pushed;
-  std::vector<double> out(real_only_ ? layout_.blocks()
-                                     : 2 * layout_.blocks());
-  sum_window(kernels, layout_, cache_.data(), wl_, (pushed - wl_) % slots,
-             ring.size() > wl_, acc_.data(), out);
+
+  // Block means, dividing by the same double rows * wl as smooth_window (it
+  // is never 0 here).
+  const std::size_t l = layout_.blocks();
+  const double* re = acc_.data();
+  const double* im = acc_.data() + layout_.lanes();
+  std::vector<double> out(real_only_ ? l : 2 * l);
+  for (std::size_t i = 0; i < l; ++i) {
+    const double count = static_cast<double>(layout_.block_rows(i)) *
+                         static_cast<double>(wl_);
+    out[i] = re[i] / count;
+    if (!real_only_) out[l + i] = im[i] / count;
+  }
   return out;
 }
 

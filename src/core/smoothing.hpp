@@ -15,8 +15,10 @@
 // of the stream normalised, so each sample is normalised once rather than
 // wl / ws times: O(n) divisions per sample plus O(n * wl) additions per
 // emitted window. It sums the blocks eight at a time, one block per SIMD
-// lane, picks an ISA path at run time (common/cpu.hpp), and gives
-// smooth_window's bytes.
+// lane, and gives smooth_window's bytes. Its kernel is one source, a
+// template over the vector width compiled per target (AVX-512F, AVX2, and
+// the default target: SSE2 on x86-64, NEON on arm64); the path is picked at
+// run time (common/cpu.hpp).
 #pragma once
 
 #include <cstddef>
@@ -74,22 +76,21 @@ Signature smooth_window(const common::MatrixView& window,
                         std::size_t l);
 
 /// A trained CS model's blocks laid out for WindowSmoother. Blocks are taken
-/// eight at a time ("lane groups"; the last group holds the l % 8 left over).
-/// Row j of a group holds, in lane k, sorted row begin + j of the group's
-/// k-th block, or a pad where that block is shorter than the group's
-/// longest. Each entry records the original sensor row it reads and that
-/// row's bounds. A pad reads row 0 through the degenerate bounds {0, 0}, so
-/// it normalises to +0.0; it follows the block's own rows in its lane, and
-/// adding +0.0 leaves every sum as it was.
+/// eight at a time ("lane groups"). Row j of a group holds, in lane k, sorted
+/// row begin + j of the group's k-th block, or a pad where that block is
+/// shorter than the group's longest or, in the last group, past block l - 1,
+/// so every group is eight lanes wide. Each entry records the original
+/// sensor row it reads and that row's bounds. A pad reads row 0 through the
+/// degenerate bounds {0, 0}, so it normalises to +0.0; it follows the
+/// block's own rows in its lane, and adding +0.0 leaves every sum as it was.
 class LaneLayout {
  public:
   static constexpr std::size_t kLanes = 8;
 
   struct Group {
     std::size_t first_block = 0;
-    std::size_t lanes = 0;        ///< kLanes, or fewer in the last group.
     std::size_t rows = 0;         ///< Longest block of the group.
-    std::size_t first_entry = 0;  ///< Entries are row-major: rows x lanes.
+    std::size_t first_entry = 0;  ///< Entries are row-major: rows x kLanes.
   };
 
   /// Throws std::invalid_argument on an empty permutation, a bounds length
@@ -99,6 +100,8 @@ class LaneLayout {
 
   std::size_t n_sensors() const noexcept { return n_; }
   std::size_t blocks() const noexcept { return block_rows_.size(); }
+  /// Lanes of all groups: blocks() rounded up to kLanes.
+  std::size_t lanes() const noexcept { return groups_.size() * kLanes; }
   std::size_t entries() const noexcept { return row_.size(); }
   const std::vector<Group>& groups() const noexcept { return groups_; }
   /// Original sensor row of each entry (0 for a pad).
@@ -157,9 +160,9 @@ class WindowSmoother final : public StreamEmitter {
   LaneLayout layout_;
   std::size_t wl_;
   bool real_only_;
-  /// Per group: rows x (wl + 1) slots x lanes; the window and its seed.
+  /// Per group: rows x (wl + 1) slots x kLanes; the window and its seed.
   std::vector<double> cache_;
-  std::vector<double> acc_;  ///< Real sums of the l blocks, then imag.
+  std::vector<double> acc_;  ///< Real sums of the layout's lanes, then imag.
   std::size_t filled_ = 0;   ///< Ring columns [0, filled_) are cached.
 };
 

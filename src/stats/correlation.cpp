@@ -4,12 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 #include "common/parallel.hpp"
 #include "stats/descriptive.hpp"
@@ -61,183 +56,108 @@ constexpr std::size_t kChunk = 256;
 // l <= r, which are never read.
 using PairKernel = void (*)(Tile ti, Tile tj, std::size_t t, double* acc);
 
-// One i row against kBlock j lanes at a time: a fixed-size group, so the
-// compiler keeps the accumulators in (vector) registers.
-void pair_kernel_scalar(Tile ti, Tile tj, std::size_t t, double* acc) {
-  const bool diagonal = ti.data == tj.data;
-  for (std::size_t k0 = 0; k0 < t; k0 += kChunk) {
-    const std::size_t k1 = std::min(t, k0 + kChunk);
-    for (std::size_t r = 0; r < ti.rows; ++r) {
-      for (std::size_t l = diagonal ? r / kBlock * kBlock : 0; l < tj.rows;
-           l += kBlock) {
-        double a[kBlock];
-        std::copy_n(acc + r * kTile + l, kBlock, a);
-        for (std::size_t k = k0; k < k1; ++k) {
-          const double x = ti.data[k * ti.width + r];
-          const double* y = tj.data + k * tj.width + l;
-          for (std::size_t q = 0; q < kBlock; ++q) a[q] += x * y[q];
-        }
-        std::copy_n(a, kBlock, acc + r * kTile + l);
-      }
-    }
-  }
-}
-
-#if defined(__x86_64__)
-
-// Fully unrolls the small register-block loops below, so the accumulator
-// arrays live in vector registers.
-#if defined(__clang__)
-#define CSM_UNROLL _Pragma("unroll")
-#else
-#define CSM_UNROLL _Pragma("GCC unroll 8")
-#endif
-
-// Four i rows (x, stride wi) against kVecs * 8 j lanes (y, stride wj) over
-// time steps [k0, k1): up to 16 zmm accumulators.
-template <std::size_t kVecs>
-__attribute__((target("avx512f"))) void rows_avx512(
-    const double* x, std::size_t wi, const double* y, std::size_t wj,
-    std::size_t k0, std::size_t k1, double* acc) {
-  constexpr std::size_t kRows = 4;
-  __m512d a[kRows][kVecs];
+// kRows i rows (x, stride wi) against kVecs vectors of kW j lanes (y, stride
+// wj) over time steps [k0, k1), the kRows x kVecs accumulators in registers.
+template <std::size_t kW, std::size_t kRows, std::size_t kVecs>
+[[gnu::always_inline]] inline void rows_block(const double* x, std::size_t wi,
+                                              const double* y, std::size_t wj,
+                                              std::size_t k0, std::size_t k1,
+                                              double* acc) {
+  using Vw = common::Vec<kW>;
+  typename Vw::V a[kRows][kVecs];
   CSM_UNROLL
   for (std::size_t q = 0; q < kRows; ++q) {
     CSM_UNROLL
     for (std::size_t v = 0; v < kVecs; ++v) {
-      a[q][v] = _mm512_loadu_pd(acc + q * kTile + v * 8);
+      a[q][v] = Vw::at(acc + q * kTile + v * kW);
     }
   }
   for (std::size_t k = k0; k < k1; ++k) {
-    __m512d yv[kVecs];
+    typename Vw::V yv[kVecs];
     CSM_UNROLL
-    for (std::size_t v = 0; v < kVecs; ++v) {
-      yv[v] = _mm512_loadu_pd(y + k * wj + v * 8);
-    }
+    for (std::size_t v = 0; v < kVecs; ++v) yv[v] = Vw::at(y + k * wj + v * kW);
     CSM_UNROLL
     for (std::size_t q = 0; q < kRows; ++q) {
-      const __m512d xq = _mm512_set1_pd(x[k * wi + q]);
+      const double xq = x[k * wi + q];
       CSM_UNROLL
-      for (std::size_t v = 0; v < kVecs; ++v) {
-        a[q][v] = _mm512_add_pd(a[q][v], _mm512_mul_pd(xq, yv[v]));
-      }
+      for (std::size_t v = 0; v < kVecs; ++v) a[q][v] += xq * yv[v];
     }
   }
   CSM_UNROLL
   for (std::size_t q = 0; q < kRows; ++q) {
     CSM_UNROLL
     for (std::size_t v = 0; v < kVecs; ++v) {
-      _mm512_storeu_pd(acc + q * kTile + v * 8, a[q][v]);
+      Vw::at(acc + q * kTile + v * kW) = a[q][v];
     }
   }
 }
 
-// Row groups of four over the live rows of ti (rounded up to four, inside
-// the tile's zero padding), against the live 8-lane vectors of tj.
-__attribute__((target("avx512f"))) void pair_kernel_avx512(
-    Tile ti, Tile tj, std::size_t t, double* acc) {
-  const bool diagonal = ti.data == tj.data;
-  const std::size_t wi = ti.width;
-  const std::size_t wj = tj.width;
-  for (std::size_t k0 = 0; k0 < t; k0 += kChunk) {
-    const std::size_t k1 = std::min(t, k0 + kChunk);
-    for (std::size_t r = 0; r < ti.rows; r += 4) {
-      const std::size_t l0 = diagonal ? r / 8 * 8 : 0;
-      const double* x = ti.data + r;
-      const double* y = tj.data + l0;
-      double* a = acc + r * kTile + l0;
-      switch ((wj - l0) / 8) {
-        case 1: rows_avx512<1>(x, wi, y, wj, k0, k1, a); break;
-        case 2: rows_avx512<2>(x, wi, y, wj, k0, k1, a); break;
-        case 3: rows_avx512<3>(x, wi, y, wj, k0, k1, a); break;
-        default: rows_avx512<4>(x, wi, y, wj, k0, k1, a); break;
-      }
+// rows_block over `vecs` <= kVecs vectors; a block wider than kBlock lanes
+// narrows to the lanes left in the tile.
+template <std::size_t kW, std::size_t kRows, std::size_t kVecs>
+[[gnu::always_inline]] inline void rows_block_upto(
+    std::size_t vecs, const double* x, std::size_t wi, const double* y,
+    std::size_t wj, std::size_t k0, std::size_t k1, double* acc) {
+  if constexpr (kVecs * kW > kBlock) {
+    if (vecs < kVecs) {
+      rows_block_upto<kW, kRows, kVecs - 1>(vecs, x, wi, y, wj, k0, k1, acc);
+      return;
     }
   }
+  rows_block<kW, kRows, kVecs>(x, wi, y, wj, k0, k1, acc);
 }
 
-// Four i rows against 8 j lanes at a time: 8 ymm accumulators, leaving room
-// in the 16 registers for the loads and broadcasts. Row groups and lanes as
-// in the AVX-512F kernel.
-__attribute__((target("avx2"))) void pair_kernel_avx2(Tile ti, Tile tj,
-                                                      std::size_t t,
-                                                      double* acc) {
-  constexpr std::size_t kRows = 4;
-  constexpr std::size_t kVecs = 2;
+// The pair kernel, once for every vector width: row groups of kRows over
+// the live rows of ti (rounded up inside the tile's zero padding), each
+// against the live lanes of tj up to kVecs * kW at a time. Tile widths are
+// multiples of kBlock, so a register block never reads past one.
+template <std::size_t kW, std::size_t kRows, std::size_t kVecs>
+[[gnu::always_inline]] inline void pair_kernel(Tile ti, Tile tj,
+                                               std::size_t t, double* acc) {
+  static_assert(sizeof(typename common::Vec<kW>::V) == kW * sizeof(double));
+  static_assert(kBlock % kW == 0 && kBlock % kRows == 0);
   const bool diagonal = ti.data == tj.data;
-  const double* pi = ti.data;
-  const double* pj = tj.data;
-  const std::size_t wi = ti.width;
-  const std::size_t wj = tj.width;
   for (std::size_t k0 = 0; k0 < t; k0 += kChunk) {
     const std::size_t k1 = std::min(t, k0 + kChunk);
     for (std::size_t r = 0; r < ti.rows; r += kRows) {
-      for (std::size_t l = diagonal ? r / kBlock * kBlock : 0; l < wj;
-           l += kBlock) {
-        __m256d a[kRows][kVecs];
-        CSM_UNROLL
-        for (std::size_t q = 0; q < kRows; ++q) {
-          CSM_UNROLL
-          for (std::size_t v = 0; v < kVecs; ++v) {
-            a[q][v] = _mm256_loadu_pd(acc + (r + q) * kTile + l + v * 4);
-          }
-        }
-        for (std::size_t k = k0; k < k1; ++k) {
-          const double* y = pj + k * wj + l;
-          __m256d yv[kVecs];
-          CSM_UNROLL
-          for (std::size_t v = 0; v < kVecs; ++v) {
-            yv[v] = _mm256_loadu_pd(y + v * 4);
-          }
-          CSM_UNROLL
-          for (std::size_t q = 0; q < kRows; ++q) {
-            const __m256d x = _mm256_set1_pd(pi[k * wi + r + q]);
-            CSM_UNROLL
-            for (std::size_t v = 0; v < kVecs; ++v) {
-              a[q][v] = _mm256_add_pd(a[q][v], _mm256_mul_pd(x, yv[v]));
-            }
-          }
-        }
-        CSM_UNROLL
-        for (std::size_t q = 0; q < kRows; ++q) {
-          CSM_UNROLL
-          for (std::size_t v = 0; v < kVecs; ++v) {
-            _mm256_storeu_pd(acc + (r + q) * kTile + l + v * 4, a[q][v]);
-          }
-        }
+      for (std::size_t l = diagonal ? r / kBlock * kBlock : 0; l < tj.width;
+           l += kW * kVecs) {
+        rows_block_upto<kW, kRows, kVecs>(
+            (tj.width - l) / kW, ti.data + r, ti.width, tj.data + l,
+            tj.width, k0, k1, acc + r * kTile + l);
       }
     }
   }
 }
 
-#undef CSM_UNROLL
-
-#endif  // __x86_64__
-
-PairKernel pair_kernel_for(common::Isa isa) {
-  switch (isa) {
-    case common::Isa::kScalar:
-      return pair_kernel_scalar;
+// One path per target: 4 x 4 zmm accumulators cover a whole 32-lane tile;
+// 4 x 2 ymm leave room in 16 registers for the loads and the broadcast;
+// the default target (SSE2, NEON) holds 2 x 4 two-lane accumulators.
 #if defined(__x86_64__)
-    case common::Isa::kAvx2:
-      return pair_kernel_avx2;
-    case common::Isa::kAvx512f:
-      return pair_kernel_avx512;
-#endif
-    default:
-      return nullptr;
-  }
+__attribute__((target("avx512f"))) void pair_kernel_avx512(
+    Tile ti, Tile tj, std::size_t t, double* acc) {
+  pair_kernel<8, 4, 4>(ti, tj, t, acc);
 }
 
-// The widest kernel this CPU runs, chosen once.
-PairKernel dispatched_pair_kernel() {
-  static const PairKernel kernel = [] {
-    for (const common::Isa isa : {common::Isa::kAvx512f, common::Isa::kAvx2}) {
-      if (common::cpu_has(isa)) return pair_kernel_for(isa);
-    }
-    return pair_kernel_scalar;
-  }();
-  return kernel;
+__attribute__((target("avx2"))) void pair_kernel_avx2(Tile ti, Tile tj,
+                                                      std::size_t t,
+                                                      double* acc) {
+  pair_kernel<4, 4, 2>(ti, tj, t, acc);
+}
+#endif
+
+void pair_kernel_default(Tile ti, Tile tj, std::size_t t, double* acc) {
+  pair_kernel<2, 2, 4>(ti, tj, t, acc);
+}
+
+using PairPaths = common::IsaPaths<common::Isa::kAvx512f, common::Isa::kAvx2>;
+
+PairKernel pair_kernel_for([[maybe_unused]] common::Isa isa) {
+#if defined(__x86_64__)
+  if (isa == common::Isa::kAvx512f) return pair_kernel_avx512;
+  if (isa == common::Isa::kAvx2) return pair_kernel_avx2;
+#endif
+  return pair_kernel_default;
 }
 
 // Fills tile b of the panel with rows b*kTile.. of `s` minus their means,
@@ -367,19 +287,15 @@ common::Matrix correlate(const common::MatrixView& s, CorrelationWorkspace& ws,
 common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
                                           CorrelationWorkspace& ws,
                                           const common::CancelToken* cancel) {
-  return correlate(s, ws, cancel, dispatched_pair_kernel());
+  return correlate(s, ws, cancel, pair_kernel_for(PairPaths::widest()));
 }
 
 common::Matrix shifted_correlation_matrix_with(
     common::Isa isa, const common::MatrixView& s, CorrelationWorkspace& ws,
     const common::CancelToken* cancel) {
-  const PairKernel kernel = pair_kernel_for(isa);
-  if (kernel == nullptr || !common::cpu_has(isa)) {
-    throw std::invalid_argument(
-        std::string("shifted_correlation_matrix: no ") +
-        common::isa_name(isa) + " kernel on this CPU");
-  }
-  return correlate(s, ws, cancel, kernel);
+  return correlate(
+      s, ws, cancel,
+      pair_kernel_for(PairPaths::require(isa, "shifted_correlation_matrix")));
 }
 
 common::Matrix shifted_correlation_matrix(const common::MatrixView& s) {

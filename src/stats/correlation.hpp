@@ -55,9 +55,11 @@ struct CorrelationWorkspace {
 ///
 /// Complexity O(n^2 t); cache-tiled over kTile x kTile blocks of (i, j) row
 /// pairs, with the mean-subtracted rows hoisted into the `ws` panel once.
-/// The pair loop runs SIMD lanes across neighbouring pairs (AVX-512F or AVX2
-/// when the CPU has them, see common::cpu_has; the choice is made once per
-/// process). Each coefficient is still one accumulator summed in
+/// The pair loop runs SIMD lanes across neighbouring pairs. It is one
+/// source, a template over the vector width (common::Vec) compiled per
+/// target: AVX-512F or AVX2 when the CPU has them, else the default target
+/// (SSE2 on x86-64, NEON on arm64); the choice is made once per process
+/// (common::IsaPaths). Each coefficient is still one accumulator summed in
 /// time-ascending order with a separate multiply and add — exactly the op
 /// sequence of shifted_correlation_matrix_reference — so the result is
 /// bit-identical to the scalar path on every ISA and layout. Accepts any

@@ -312,5 +312,40 @@ TEST(LaneKernel, Validation) {
   EXPECT_THROW(smoother.emit(wide), std::invalid_argument);
 }
 
+TEST(LaneKernel, EveryGroupIsFullWidth) {
+  // The last group is padded out to kLanes with pads (row 0, bounds
+  // {0, 0}), so no kernel has a leftover-lanes path; the model still has l
+  // blocks and a signature 2l values.
+  constexpr std::size_t kLanes = LaneLayout::kLanes;
+  const std::size_t n = 20;
+  const LaneModel m = lane_model(n, 6);
+  for (const std::size_t l : {1u, 9u, 17u}) {
+    SCOPED_TRACE("l=" + std::to_string(l));
+    const LaneLayout layout(m.perm, m.bounds, l);
+    EXPECT_EQ(layout.blocks(), l);
+    ASSERT_EQ(layout.groups().size(), (l + kLanes - 1) / kLanes);
+    EXPECT_EQ(layout.lanes(), layout.groups().size() * kLanes);
+    std::size_t entries = 0;
+    for (const LaneLayout::Group& g : layout.groups()) {
+      EXPECT_EQ(g.first_entry, entries);
+      entries += g.rows * kLanes;
+    }
+    EXPECT_EQ(layout.entries(), entries);
+    const LaneLayout::Group& last = layout.groups().back();
+    for (std::size_t j = 0; j < last.rows; ++j) {
+      for (std::size_t k = l - last.first_block; k < kLanes; ++k) {
+        const std::size_t e = last.first_entry + j * kLanes + k;
+        EXPECT_EQ(layout.row()[e], 0);
+        EXPECT_EQ(layout.lo()[e], 0.0);
+        EXPECT_EQ(layout.hi()[e], 0.0);
+      }
+    }
+    WindowSmoother smoother(m.perm, m.bounds, l, 3, false);
+    common::RingMatrix ring(n, 4);
+    for (int i = 0; i < 4; ++i) ring.push(std::vector<double>(n, 0.5));
+    EXPECT_EQ(smoother.emit(ring).size(), 2 * l);
+  }
+}
+
 }  // namespace
 }  // namespace csm::core
