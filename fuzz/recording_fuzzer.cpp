@@ -9,8 +9,9 @@
 // never a wild read, never another exception type.
 //
 // Accepted inputs additionally round-trip: re-recording every decoded
-// batch (with its decoded timestamp) through an in-memory Recorder against
-// the decoded node table must reproduce the input byte for byte. CSMR has
+// batch (the column-major view next() hands out, with its decoded
+// timestamp) through an in-memory Recorder against the decoded node table
+// must reproduce the input byte for byte. CSMR has
 // a single canonical form — the reader rejects non-canonical geometry — so
 // re-encode identity is the strongest cheap differential available.
 #include <cstdint>
@@ -27,7 +28,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   namespace fuzz = csm::fuzz;
 
   std::vector<std::uint8_t> input(data, data + size);
-  std::vector<RecordedBatch> batches;
   csm::replay::Recorder rewrite;
   try {
     csm::replay::ReplayReader reader =

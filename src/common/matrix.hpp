@@ -15,6 +15,8 @@
 
 namespace csm::common {
 
+class MatrixView;
+
 /// Dense row-major matrix of doubles.
 class Matrix {
  public:
@@ -35,6 +37,12 @@ class Matrix {
   /// Adopts an existing flat buffer (row-major). Throws std::invalid_argument
   /// if the buffer size does not equal rows*cols.
   Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
+
+  /// Owning row-major copy of a view in either layout. Implicit on purpose:
+  /// every consumer that needs an owning Matrix accepts a view (a replayed
+  /// batch, a ring window) unchanged through this conversion. Defined in
+  /// matrix_view.cpp.
+  Matrix(const MatrixView& view);  // NOLINT(google-explicit-constructor)
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }

@@ -14,6 +14,17 @@ MatrixView MatrixView::row_major(const double* data, std::size_t rows,
   return v;
 }
 
+MatrixView MatrixView::column_major(const double* data, std::size_t rows,
+                                    std::size_t cols) {
+  MatrixView v;
+  v.rows_ = rows;
+  v.cols_ = cols;
+  v.column_major_ = true;
+  v.seg0_ = data;
+  v.seg0_cols_ = cols;
+  return v;
+}
+
 MatrixView MatrixView::column_segments(std::span<const double> first,
                                        std::span<const double> second,
                                        std::size_t rows) {
@@ -106,22 +117,24 @@ MatrixView::ColSegment MatrixView::col_segment(std::size_t k) const {
   return {seg1_, seg0_cols_, cols_ - seg0_cols_};
 }
 
-Matrix MatrixView::materialize() const {
-  Matrix out(rows_, cols_);
-  if (empty()) return out;
-  if (!column_major_) {
+Matrix::Matrix(const MatrixView& view)
+    : rows_(view.rows()), cols_(view.cols()), data_(view.size()) {
+  if (view.empty()) return;
+  if (view.contiguous_rows()) {
+    const double* src = view.row(0).data();
+    std::copy(src, src + view.size(), data_.begin());
+    return;
+  }
+  // Column segments: fill each output row in order, reading the source at
+  // a stride of one column (strided reads cost less than scattered writes).
+  for (std::size_t k = 0; k < view.n_col_segments(); ++k) {
+    const MatrixView::ColSegment seg = view.col_segment(k);
     for (std::size_t r = 0; r < rows_; ++r) {
-      const std::span<const double> src = row(r);
-      std::copy(src.begin(), src.end(), out.row(r).begin());
+      double* dst = data_.data() + r * cols_ + seg.first_col;
+      const double* src = seg.data + r;
+      for (std::size_t c = 0; c < seg.n_cols; ++c) dst[c] = src[c * rows_];
     }
-    return out;
   }
-  for (std::size_t c = 0; c < cols_; ++c) {
-    const std::span<const double> src = col(c);
-    double* dst = out.data() + c;
-    for (std::size_t r = 0; r < rows_; ++r) dst[r * cols_] = src[r];
-  }
-  return out;
 }
 
 }  // namespace csm::common

@@ -1,19 +1,24 @@
 // Zero-copy, read-only view over an n_sensors x cols window of sensor data.
 //
-// The compute surface of core::SignatureMethod consumes windows through this
-// view, so the same kernel can read either of the two layouts the library
-// stores sensor data in, without assembling a temporary matrix first:
+// Sensor data lives in two layouts, and this view reads either one without
+// assembling a temporary matrix first:
 //
 //  * a row-major common::Matrix block (the offline path: rows are contiguous,
 //    columns are strided), or
-//  * one or two contiguous column segments inside a common::RingMatrix
-//    (the streaming path: each column is a contiguous slot; a window that
-//    straddles the ring's wrap point splits into exactly two segments).
+//  * one or two contiguous column segments: a sample batch as it arrives
+//    (a CSMR recording batch or a kSampleBatch payload, both column-major
+//    on the wire), or a common::RingMatrix window (each column is a
+//    contiguous slot; a window that straddles the ring's wrap point splits
+//    into exactly two segments).
+//
+// Column-major is the layout a batch keeps from the wire to the ring: a
+// replayed or decoded batch is viewed in place, and MethodStream::push_all
+// fills each ring slot with copy_col, one contiguous copy per column.
 //
 // The view never owns storage and is trivially copyable; it is valid only as
-// long as the viewed Matrix / RingMatrix is alive and unmodified (for a
-// RingMatrix, any push may recycle viewed slots). Callers that need an
-// owning row-major copy use materialize().
+// long as the viewed storage is alive and unmodified (for a RingMatrix, any
+// push may recycle viewed slots). Callers that need an owning row-major copy
+// construct a common::Matrix from the view (the conversion is implicit).
 #pragma once
 
 #include <cstddef>
@@ -38,6 +43,11 @@ class MatrixView {
   /// Views `rows` x `cols` doubles of row-major storage at `data`.
   static MatrixView row_major(const double* data, std::size_t rows,
                               std::size_t cols);
+
+  /// Views `rows` x `cols` doubles of column-major storage at `data` (one
+  /// column segment). Unlike column_segments, keeps `cols` when rows == 0.
+  static MatrixView column_major(const double* data, std::size_t rows,
+                                 std::size_t cols);
 
   /// Views one or two contiguous column-major segments (each segment holds
   /// whole `rows`-element columns back to back; `second` may be empty).
@@ -83,7 +93,9 @@ class MatrixView {
   std::span<const double> row(std::size_t r,
                               std::vector<double>& scratch) const;
 
-  /// Copies column `c` into `out` (out.size() must equal rows()).
+  /// Copies column `c` into `out` (out.size() must equal rows()): one
+  /// contiguous copy from column segments, a strided gather from row-major
+  /// backing.
   void copy_col(std::size_t c, std::span<double> out) const;
 
   /// Number of contiguous column segments: 0 for row-major backing,
@@ -101,10 +113,6 @@ class MatrixView {
     std::size_t n_cols = 0;
   };
   ColSegment col_segment(std::size_t k) const;
-
-  /// Owning row-major copy — the escape hatch for consumers that genuinely
-  /// need a common::Matrix.
-  Matrix materialize() const;
 
  private:
   std::size_t rows_ = 0;

@@ -28,6 +28,29 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
+void append_f64_columns(std::vector<std::uint8_t>& out, const MatrixView& m) {
+  std::vector<double> col(m.rows());
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    m.copy_col(c, col);
+    if constexpr (std::endian::native == std::endian::little) {
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(col.data());
+      out.insert(out.end(), bytes, bytes + col.size() * sizeof(double));
+    } else {
+      for (const double v : col) append_f64(out, v);
+    }
+  }
+}
+
+void load_f64s(const std::uint8_t* p, std::span<double> out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) std::memcpy(out.data(), p, out.size_bytes());
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::bit_cast<double>(load_u64(p + 8 * i));
+    }
+  }
+}
+
 // CRC-32: a slicing-by-8 table everywhere, and on x86-64 a PCLMULQDQ fold
 // for inputs of 64 bytes or more, chosen once per process.
 namespace {

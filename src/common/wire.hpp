@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/cpu.hpp"
+#include "common/matrix_view.hpp"
 
 namespace csm::common::wire {
 
@@ -26,6 +27,16 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
 inline void append_f64(std::vector<std::uint8_t>& out, double v) {
   append_u64(out, std::bit_cast<std::uint64_t>(v));
 }
+
+/// Appends every value of `m` as append_f64 would, column after column:
+/// the sample layout of kSampleBatch payloads and CSMR batches. On a
+/// little-endian host each column is one block copy.
+void append_f64_columns(std::vector<std::uint8_t>& out, const MatrixView& m);
+
+/// Reads out.size() f64s stored as append_f64 writes them; the caller
+/// guarantees the 8 * out.size() bytes at `p` are in range. One block copy
+/// on a little-endian host.
+void load_f64s(const std::uint8_t* p, std::span<double> out);
 
 // Inline: decoders call the loads once per value.
 inline std::uint16_t load_u16(const std::uint8_t* p) {

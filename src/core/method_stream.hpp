@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "common/ring_matrix.hpp"
 // Complete type needed: MethodStream's defaulted moves destroy the
 // unique_ptr fallback pool in every TU that moves a stream.
@@ -117,9 +118,12 @@ class MethodStream {
   /// std::nullopt.
   std::optional<std::vector<double>> push(std::span<const double> column);
 
-  /// Feeds a whole matrix column by column; returns all emitted feature
-  /// vectors. Columns are gathered straight into the ring buffer.
-  std::vector<std::vector<double>> push_all(const common::Matrix& columns);
+  /// Feeds a whole batch column by column; returns all emitted feature
+  /// vectors. Each column goes straight into its ring slot through
+  /// MatrixView::copy_col: one contiguous copy from a column-major batch
+  /// (the wire layout of CSMR and kSampleBatch), a strided gather from a
+  /// row-major Matrix (which converts implicitly).
+  std::vector<std::vector<double>> push_all(const common::MatrixView& columns);
 
  private:
   /// Everything a background shadow fit touches, co-owned by the job and

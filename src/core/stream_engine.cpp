@@ -55,7 +55,7 @@ void StreamEngine::enqueue(Node& n, std::vector<std::vector<double>>&& sigs) {
 }
 
 void StreamEngine::ingest_locked(std::size_t index, Node& n,
-                                 const common::Matrix& columns) {
+                                 const common::MatrixView& columns) {
   // Caller holds n.mutex. The timer covers processing only (push_all +
   // queue append), not lock wait — that is the per-call ingest latency the
   // histogram records.
@@ -169,7 +169,8 @@ std::vector<std::vector<double>> StreamEngine::remove_node(std::size_t node) {
   return remaining;
 }
 
-void StreamEngine::ingest(std::size_t node, const common::Matrix& columns) {
+void StreamEngine::ingest(std::size_t node,
+                          const common::MatrixView& columns) {
   Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
   ingest_locked(node, n, columns);

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "core/cs_model.hpp"
 #include "core/method_stream.hpp"
 #include "core/signature_method.hpp"
@@ -137,7 +138,7 @@ class StreamEngine {
   /// tap must not call back into the engine (the node mutex is held) and
   /// must tolerate concurrent invocations for different nodes.
   using IngestTap =
-      std::function<void(std::size_t node, const common::Matrix& columns)>;
+      std::function<void(std::size_t node, const common::MatrixView& columns)>;
   /// All nodes share the same windowing/retrain configuration; methods are
   /// per node. Under an async retrain policy the engine owns the bounded
   /// retrain worker pool (options.retrain_threads workers) its nodes'
@@ -195,8 +196,10 @@ class StreamEngine {
   std::vector<std::vector<double>> remove_node(std::size_t node);
 
   /// Feeds a batch of columns to one node; emitted feature vectors are
-  /// appended to that node's queue.
-  void ingest(std::size_t node, const common::Matrix& columns);
+  /// appended to that node's queue. Any view layout works (a Matrix
+  /// converts implicitly); a column-major batch (a replayed CSMR batch, a
+  /// decoded kSampleBatch) reaches the ring as one copy per column.
+  void ingest(std::size_t node, const common::MatrixView& columns);
 
   /// Feeds one batch per node (batches.size() must equal n_nodes(); batches
   /// may have different column counts, rows must match each node's sensor
@@ -280,7 +283,7 @@ class StreamEngine {
   /// Runs one node's ingest under its mutex and records its latency;
   /// `index` is the node's table index (the tap reports it).
   void ingest_locked(std::size_t index, Node& n,
-                     const common::Matrix& columns);
+                     const common::MatrixView& columns);
 
   StreamOptions options_;
   /// Bounded worker pool the nodes' async shadow fits run on (null under

@@ -120,8 +120,8 @@ std::string PayloadReader::text(const char* field, std::uint64_t count) {
   return out;
 }
 
-std::vector<double> PayloadReader::f64_array(const char* field,
-                                             std::uint64_t count) {
+void PayloadReader::f64_array(const char* field, std::uint64_t count,
+                              std::vector<double>& out) {
   // The count is bounded by the bytes actually present before the vector
   // is sized — the no-allocation-from-unvalidated-length rule.
   if (count > remaining() / sizeof(double)) {
@@ -129,10 +129,9 @@ std::vector<double> PayloadReader::f64_array(const char* field,
                     std::to_string(count * sizeof(double)) + " bytes, " +
                     std::to_string(remaining()) + " remain");
   }
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(f64(field));
-  return out;
+  out.resize(static_cast<std::size_t>(count));
+  common::wire::load_f64s(payload_.data() + cursor_, out);
+  cursor_ += out.size() * sizeof(double);
 }
 
 std::vector<std::uint64_t> PayloadReader::u64_array(const char* field,
@@ -166,7 +165,8 @@ void PayloadReader::finish(const char* what) const {
 // kSampleBatch
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_sample_batch(const common::Matrix& columns) {
+std::vector<std::uint8_t> encode_sample_batch(
+    const common::MatrixView& columns) {
   constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
   if (columns.rows() > kU32Max || columns.cols() > kU32Max) {
     throw std::invalid_argument(
@@ -176,31 +176,27 @@ std::vector<std::uint8_t> encode_sample_batch(const common::Matrix& columns) {
   out.reserve(8 + columns.size() * sizeof(double));
   append_u32(out, static_cast<std::uint32_t>(columns.rows()));
   append_u32(out, static_cast<std::uint32_t>(columns.cols()));
-  for (std::size_t c = 0; c < columns.cols(); ++c) {
-    for (std::size_t r = 0; r < columns.rows(); ++r) {
-      append_f64(out, columns(r, c));
-    }
-  }
+  common::wire::append_f64_columns(out, columns);
   return out;
 }
 
-common::Matrix decode_sample_batch(std::span<const std::uint8_t> payload) {
+common::MatrixView decode_sample_columns(std::span<const std::uint8_t> payload,
+                                         std::vector<double>& values) {
   PayloadReader in(payload);
   const std::uint64_t n_sensors = in.u32("n_sensors");
   const std::uint64_t n_cols = in.u32("n_cols");
   // 64-bit product of two u32s cannot wrap; f64_array bounds it against the
   // payload before allocating.
-  const std::vector<double> data =
-      in.f64_array("samples", n_sensors * n_cols);
+  in.f64_array("samples", n_sensors * n_cols, values);
   in.finish("sample-batch");
-  common::Matrix m(static_cast<std::size_t>(n_sensors),
-                   static_cast<std::size_t>(n_cols));
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      m(r, c) = data[c * m.rows() + r];
-    }
-  }
-  return m;
+  return common::MatrixView::column_major(
+      values.data(), static_cast<std::size_t>(n_sensors),
+      static_cast<std::size_t>(n_cols));
+}
+
+common::Matrix decode_sample_batch(std::span<const std::uint8_t> payload) {
+  std::vector<double> values;
+  return common::Matrix(decode_sample_columns(payload, values));
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ DrainResponse decode_drain_response(std::span<const std::uint8_t> payload) {
   msg.signatures.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t len = in.u32("signature_len");
-    msg.signatures.push_back(in.f64_array("signature", len));
+    in.f64_array("signature", len, msg.signatures.emplace_back());
   }
   in.finish("drain-response");
   return msg;

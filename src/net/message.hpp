@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "core/stream_engine.hpp"
 #include "stats/histogram.hpp"
 
@@ -52,9 +53,12 @@ class PayloadReader {
   std::vector<std::uint8_t> bytes(const char* field, std::uint64_t count);
   /// `count` bytes as a string (UTF-8 by convention, not validated).
   std::string text(const char* field, std::uint64_t count);
-  /// `count` doubles. The count is validated against remaining()/8 before
-  /// the vector is sized.
-  std::vector<double> f64_array(const char* field, std::uint64_t count);
+  /// `count` doubles into `out` (resized to `count`; a decoder may reuse
+  /// one buffer across messages). The count is validated against
+  /// remaining()/8 before `out` is sized; then one block copy on a
+  /// little-endian host.
+  void f64_array(const char* field, std::uint64_t count,
+                 std::vector<double>& out);
   std::vector<std::uint64_t> u64_array(const char* field,
                                        std::uint64_t count);
 
@@ -78,10 +82,18 @@ class PayloadReader {
 // ---------------------------------------------------------------------------
 // kSampleBatch: u32 n_sensors | u32 n_cols | f64 x (n_sensors*n_cols),
 // column-major (one monitoring time-stamp after another, matching the
-// ingestion order).
+// ingestion order and the stream ring's layout).
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_sample_batch(const common::Matrix& columns);
+std::vector<std::uint8_t> encode_sample_batch(
+    const common::MatrixView& columns);
+/// Decodes into `values` (reused across calls: csmd keeps one per client)
+/// and returns an n_sensors x n_cols column-major view over it, valid until
+/// `values` is next modified. The values are never transposed, so ingest
+/// copies each column into the ring in one block.
+common::MatrixView decode_sample_columns(std::span<const std::uint8_t> payload,
+                                         std::vector<double>& values);
+/// Owning form: decode_sample_columns copied into a row-major Matrix.
 common::Matrix decode_sample_batch(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------

@@ -134,7 +134,8 @@ void FleetServer::handle_frame(Client& client, Frame&& frame) {
   try {
     switch (frame.type) {
       case FrameType::kSampleBatch: {
-        const common::Matrix columns = decode_sample_batch(frame.payload);
+        const common::MatrixView columns =
+            decode_sample_columns(frame.payload, client.samples);
         engine_.ingest(lookup(frame.node), columns);
         break;  // One-way: no ack on success.
       }

@@ -112,6 +112,9 @@ class FleetServer {
     std::unique_ptr<Connection> conn;
     FrameReader reader;
     std::vector<std::uint8_t> out;  ///< Unflushed response bytes.
+    /// Decoded kSampleBatch values, reused frame to frame: the engine
+    /// ingests the column-major view over them.
+    std::vector<double> samples;
     std::size_t out_head = 0;       ///< Flushed prefix of out.
     bool closing = false;           ///< Close once out is flushed.
 

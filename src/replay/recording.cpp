@@ -1,6 +1,7 @@
 #include "replay/recording.hpp"
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -19,7 +20,7 @@
 namespace csm::replay {
 namespace {
 
-using common::wire::append_f64;
+using common::wire::append_f64_columns;
 using common::wire::append_u16;
 using common::wire::append_u32;
 using common::wire::append_u64;
@@ -102,7 +103,7 @@ std::uint32_t Recorder::add_node(std::string_view id,
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
-void Recorder::record(std::uint32_t node, const common::Matrix& columns) {
+void Recorder::record(std::uint32_t node, const common::MatrixView& columns) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (node >= nodes_.size()) {
     fail("batch names unknown node index " + std::to_string(node));
@@ -110,7 +111,7 @@ void Recorder::record(std::uint32_t node, const common::Matrix& columns) {
   record_locked(node, columns, next_timestamp_[node]);
 }
 
-void Recorder::record(std::uint32_t node, const common::Matrix& columns,
+void Recorder::record(std::uint32_t node, const common::MatrixView& columns,
                       std::uint64_t timestamp) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (node >= nodes_.size()) {
@@ -119,7 +120,8 @@ void Recorder::record(std::uint32_t node, const common::Matrix& columns,
   record_locked(node, columns, timestamp);
 }
 
-void Recorder::record_locked(std::uint32_t node, const common::Matrix& columns,
+void Recorder::record_locked(std::uint32_t node,
+                             const common::MatrixView& columns,
                              std::uint64_t timestamp) {
   if (finished_) fail("record() after finish()");
   if (columns.cols() == 0) return;  // Tombstone slots record nothing.
@@ -141,11 +143,7 @@ void Recorder::record_locked(std::uint32_t node, const common::Matrix& columns,
   append_u32(bytes, static_cast<std::uint32_t>(columns.cols()));
   // Column-major: one monitoring time-stamp after another, matching both
   // the ingestion order and the kSampleBatch wire layout.
-  for (std::size_t c = 0; c < columns.cols(); ++c) {
-    for (std::size_t r = 0; r < columns.rows(); ++r) {
-      append_f64(bytes, columns(r, c));
-    }
-  }
+  append_f64_columns(bytes, columns);
   write(bytes);
   payload_crc_ = crc32(bytes, payload_crc_);
   payload_size_ += bytes.size();
@@ -445,15 +443,24 @@ std::optional<RecordedBatch> ReplayReader::next() {
   batch.node = node;
   batch.timestamp = timestamp;
   const std::size_t rows = m.nodes[node].n_sensors;
-  batch.columns = common::Matrix(rows, n_cols);
   const std::uint8_t* values = body + kBatchBodyPrefix;
-  // Fill the row-major matrix in order; the column-major values are read at
-  // a stride, which costs less than scattered writes.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      batch.columns(r, c) =
-          std::bit_cast<double>(load_u64(values + (c * rows + r) * 8));
+  if constexpr (std::endian::native == std::endian::little) {
+    // Batches start at byte 40 and each is a multiple of 8 bytes, so the
+    // values of a well-formed recording in a mapped or heap buffer are
+    // always 8-aligned; the view reads them in place.
+    if (reinterpret_cast<std::uintptr_t>(values) % alignof(double) != 0) {
+      fail("misaligned batch values" + where());
     }
+    batch.columns = common::MatrixView::column_major(
+        reinterpret_cast<const double*>(values), rows, n_cols);
+    batch.storage = mapping_;
+  } else {
+    auto owned = std::make_shared<std::vector<double>>(
+        static_cast<std::size_t>(n_values));
+    common::wire::load_f64s(values, *owned);
+    batch.columns = common::MatrixView::column_major(owned->data(), rows,
+                                                     n_cols);
+    batch.storage = std::move(owned);
   }
   running_crc_ = crc32({m.data + cursor_, 8 + static_cast<std::size_t>(
                                                   body_len)},

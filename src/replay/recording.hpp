@@ -30,6 +30,9 @@
 // (+ O(nodes)), and iterates batches incrementally — the trailing CRC is
 // folded in batch by batch and verified when the last batch is consumed,
 // so a multi-gigabyte recording never needs a separate verification pass.
+// A batch's values are never re-laid out: next() hands them on as a
+// column-major common::MatrixView straight over the mapping (zero-copy on
+// little-endian hosts), the layout the stream ring stores them in.
 // Timestamps are per-node cumulative sample offsets by default, which is
 // what makes replays deterministic without a wall clock.
 #pragma once
@@ -49,6 +52,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 
 namespace csm::replay {
 
@@ -75,11 +79,19 @@ struct RecordedNode {
 };
 
 /// One replayed sample batch: `columns` is n_sensors x n_cols, exactly the
-/// matrix the original ingest call carried.
+/// values the original ingest call carried, as a column-major view.
+///
+/// Lifetime: `storage` keeps the bytes `columns` points into alive — the
+/// reader's mapping on little-endian hosts (zero-copy), a buffer the batch
+/// owns on big-endian ones — so a batch stays readable after next() moves
+/// on and after its ReplayReader is destroyed. The values are read-only
+/// (the mapping is PROT_READ); a caller that edits a batch (a Scenario)
+/// copies it into a common::Matrix first.
 struct RecordedBatch {
   std::uint32_t node = 0;       ///< Index into the node table.
   std::uint64_t timestamp = 0;  ///< Node-cumulative sample offset (default).
-  common::Matrix columns;
+  common::MatrixView columns;
+  std::shared_ptr<const void> storage;
 };
 
 /// Streaming CSMR writer. File-backed (the normal capture path) or
@@ -106,11 +118,11 @@ class Recorder {
   /// as the timestamp. Empty batches (0 columns) are dropped — a tombstone
   /// slot in ingest_batch contributes nothing to a recording. Throws
   /// RecordingError on an unknown node or a sensor-count mismatch.
-  void record(std::uint32_t node, const common::Matrix& columns);
+  void record(std::uint32_t node, const common::MatrixView& columns);
 
   /// Same, with an explicit timestamp (the cumulative offset still
   /// advances, so later default-timestamp batches stay consistent).
-  void record(std::uint32_t node, const common::Matrix& columns,
+  void record(std::uint32_t node, const common::MatrixView& columns,
               std::uint64_t timestamp);
 
   /// Writes the node table and trailing CRC and patches the header. No
@@ -127,7 +139,7 @@ class Recorder {
  private:
   void write(std::span<const std::uint8_t> data);
   /// Caller holds mutex_ and has validated the node index.
-  void record_locked(std::uint32_t node, const common::Matrix& columns,
+  void record_locked(std::uint32_t node, const common::MatrixView& columns,
                      std::uint64_t timestamp);
 
   mutable std::mutex mutex_;
@@ -162,8 +174,9 @@ class ReplayReader {
 
   /// Next batch in file order, or std::nullopt after the last one. The
   /// trailing CRC is verified when the final batch is consumed; a geometry
-  /// defect or CRC mismatch throws RecordingError. Not thread-safe (the
-  /// cursor advances).
+  /// defect, a misaligned value block or a CRC mismatch throws
+  /// RecordingError. Not thread-safe (the cursor advances). The batch
+  /// shares ownership of the mapping (see RecordedBatch).
   std::optional<RecordedBatch> next();
 
   /// Resets the iteration cursor to the first batch.

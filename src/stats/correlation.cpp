@@ -287,6 +287,12 @@ common::Matrix correlate(const common::MatrixView& s, CorrelationWorkspace& ws,
 common::Matrix shifted_correlation_matrix(const common::MatrixView& s,
                                           CorrelationWorkspace& ws,
                                           const common::CancelToken* cancel) {
+  // At n <= 3 the padding to an 8-row block costs more than tiling saves
+  // (about 2.5x at n = 2); the reference kernel gives the same bits.
+  if (s.rows() <= 3) {
+    if (cancel != nullptr) cancel->throw_if_cancelled();
+    return shifted_correlation_matrix_reference(s);
+  }
   return correlate(s, ws, cancel, pair_kernel_for(PairPaths::widest()));
 }
 
@@ -313,7 +319,7 @@ common::Matrix shifted_correlation_matrix_reference(
   // tiled path bit-identical to. Rows of a ring-segment view are gathered
   // once (per-row order preserved), exactly as before.
   const bool direct = s.contiguous_rows();
-  const common::Matrix gathered = direct ? common::Matrix() : s.materialize();
+  const common::Matrix gathered = direct ? common::Matrix() : common::Matrix(s);
   const auto row_of = [&](std::size_t i) {
     return direct ? s.row(i) : gathered.row(i);
   };

@@ -66,6 +66,9 @@ struct CorrelationWorkspace {
 /// window view (a common::Matrix converts implicitly), so streaming retrains
 /// can feed ring-buffer history without materialising it.
 ///
+/// Fits of at most 3 sensors run the reference kernel instead: the same
+/// bits, without padding the rows out to a whole 8-row block.
+///
 /// `cancel`, when given, is polled per tile: a fired token makes the pass
 /// throw common::OperationCancelled (used by superseded async retrains).
 common::Matrix shifted_correlation_matrix(

@@ -111,10 +111,44 @@ TEST(MatrixView, RowGatherMatchesAcrossLayouts) {
 }
 
 TEST(MatrixView, MaterializeReproducesBothLayouts) {
+  // Matrix(const MatrixView&) is the owning copy of either layout.
   const Matrix m = counting_matrix(5, 9);
-  EXPECT_EQ(MatrixView(m).materialize(), m);
+  EXPECT_EQ(Matrix(MatrixView(m)), m);
   const auto [a, b] = counting_segments(5, 9, 4);
-  EXPECT_EQ(MatrixView::column_segments(a, b, 5).materialize(), m);
+  EXPECT_EQ(Matrix(MatrixView::column_segments(a, b, 5)), m);
+  std::vector<double> whole(a);
+  whole.insert(whole.end(), b.begin(), b.end());
+  const MatrixView one = MatrixView::column_major(whole.data(), 5, 9);
+  EXPECT_EQ(one.n_col_segments(), 1u);
+  EXPECT_EQ(Matrix(one), m);
+}
+
+TEST(MatrixView, ColumnMajorKeepsColumnsOfAnEmptyShape) {
+  // A zero-row batch still declares its column count (column_segments
+  // cannot: it derives cols from the segment sizes).
+  const MatrixView v = MatrixView::column_major(nullptr, 0, 7);
+  EXPECT_EQ(v.rows(), 0u);
+  EXPECT_EQ(v.cols(), 7u);
+  const Matrix m(v);
+  EXPECT_EQ(m.rows(), 0u);
+  EXPECT_EQ(m.cols(), 7u);
+}
+
+TEST(MatrixView, CopyColAgreesAcrossLayouts) {
+  // push_all fills ring slots through copy_col from either layout.
+  const Matrix m = counting_matrix(4, 6);
+  const auto [a, b] = counting_segments(4, 6, 2);
+  for (const MatrixView& v :
+       {MatrixView(m), MatrixView::column_segments(a, b, 4)}) {
+    std::vector<double> col(4);
+    for (std::size_t c = 0; c < 6; ++c) {
+      v.copy_col(c, col);
+      for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(col[r], m(r, c));
+    }
+    std::vector<double> wrong(5);
+    EXPECT_THROW(v.copy_col(0, wrong), std::invalid_argument);
+    EXPECT_THROW(v.copy_col(6, col), std::out_of_range);
+  }
 }
 
 TEST(MatrixView, AtThrowsOutOfRange) {

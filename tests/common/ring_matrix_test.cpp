@@ -126,7 +126,7 @@ TEST(RingMatrix, LatestViewSplitsAcrossWrapBoundary) {
   EXPECT_EQ(view.n_col_segments(), 2u);
   Matrix expected(2, 4);
   ring.copy_latest(4, expected);
-  EXPECT_EQ(view.materialize(), expected);
+  EXPECT_EQ(Matrix(view), expected);
   // The two segments alias ring storage on both sides of the wrap.
   EXPECT_EQ(view.col(0).data(), ring.column(0).data());
   EXPECT_EQ(view.col(3).data(), ring.column(3).data());
@@ -135,7 +135,7 @@ TEST(RingMatrix, LatestViewSplitsAcrossWrapBoundary) {
 TEST(RingMatrix, HistoryViewMatchesToMatrix) {
   RingMatrix ring(3, 5);
   for (double k = 0; k < 13; ++k) ring.push(col_of(k, 3));
-  EXPECT_EQ(ring.history_view().materialize(), ring.to_matrix());
+  EXPECT_EQ(Matrix(ring.history_view()), ring.to_matrix());
 }
 
 TEST(RingMatrix, LatestViewValidation) {

@@ -681,5 +681,68 @@ TEST(MethodStream, NonRetrainingStreamIgnoresHistoryLength) {
   }
 }
 
+TEST(MethodStream, PushAllIsLayoutBlind) {
+  // The same samples in the same batches, fed as row-major Matrix blocks,
+  // as one-segment column-major views (a decoded kSampleBatch, a replayed
+  // CSMR batch) and as two-segment views wrapped inside one buffer (a ring
+  // window): every signature must be byte-identical, with and without
+  // periodic inline retrains.
+  const std::size_t n = 9;
+  const common::Matrix data = wave_matrix(n, 420, 64);
+  std::vector<double> colmajor(n * data.cols());
+  for (std::size_t c = 0; c < data.cols(); ++c) {
+    for (std::size_t r = 0; r < n; ++r) colmajor[c * n + r] = data(r, c);
+  }
+  const std::size_t batch = 17;
+  for (const std::size_t interval : {35u, 0u}) {
+    SCOPED_TRACE("retrain_interval " + std::to_string(interval));
+    StreamOptions opts = cs_cache_options(RetrainPolicy::kSync);
+    opts.retrain_interval = interval;
+    const auto method = cs_method(data.sub_cols(0, 64), opts.cs);
+    MethodStream by_matrix(method, opts);
+    MethodStream by_view(method, opts);
+    MethodStream by_wrapped(method, opts);
+    std::vector<std::vector<double>> want;
+    std::vector<std::vector<double>> got_view;
+    std::vector<std::vector<double>> got_wrapped;
+    const auto append = [](std::vector<std::vector<double>>& to,
+                           std::vector<std::vector<double>> sigs) {
+      for (auto& sig : sigs) to.push_back(std::move(sig));
+    };
+    std::vector<double> wrapped;
+    for (std::size_t start = 0; start < data.cols(); start += batch) {
+      const std::size_t len = std::min(batch, data.cols() - start);
+      append(want, by_matrix.push_all(data.sub_cols(start, len)));
+      const double* first = colmajor.data() + start * n;
+      append(got_view, by_view.push_all(
+                           common::MatrixView::column_major(first, n, len)));
+      // The batch's later columns sit at the front of the buffer, its
+      // earlier ones behind them, as in a ring that wrapped mid-window.
+      const std::size_t head = len / 2 + 1;
+      wrapped.assign(first + head * n, first + len * n);
+      wrapped.insert(wrapped.end(), first, first + head * n);
+      const std::span<const double> buf(wrapped);
+      const common::MatrixView view = common::MatrixView::column_segments(
+          buf.subspan((len - head) * n), buf.first((len - head) * n), n);
+      ASSERT_EQ(view.n_col_segments(), len > head ? 2u : 1u);
+      append(got_wrapped, by_wrapped.push_all(view));
+    }
+    if (interval != 0) {
+      EXPECT_GE(by_matrix.retrain_count(), 10u);
+    }
+    ASSERT_EQ(want.size(), 41u);
+    for (const auto* got : {&got_view, &got_wrapped}) {
+      ASSERT_EQ(got->size(), want.size());
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ((*got)[k].size(), want[k].size());
+        EXPECT_EQ(std::memcmp((*got)[k].data(), want[k].data(),
+                              want[k].size() * sizeof(double)),
+                  0)
+            << "signature " << k;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csm::core

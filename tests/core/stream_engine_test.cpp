@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "baselines/tuncer.hpp"
+#include "common/matrix_view.hpp"
 #include "common/rng.hpp"
 #include "core/training.hpp"
 
@@ -136,6 +139,34 @@ TEST(StreamEngine, MixedMethodFleet) {
     EXPECT_EQ(tuncer_sigs[w], reference.compute(tn_data.sub_cols(w * 10, 20)))
         << "window " << w;
   }
+}
+
+TEST(StreamEngine, IngestOfAColumnMajorViewMatchesItsMatrix) {
+  // csmd and replay ingest column-major views straight from the frame or
+  // the capture; the signatures must equal those of the row-major batch.
+  const common::Matrix data = node_matrix(6, 90, 220);
+  const CsModel model = train(data);
+  StreamEngine by_matrix(engine_options());
+  StreamEngine by_view(engine_options());
+  by_matrix.add_node("n", model);
+  by_view.add_node("n", model);
+  std::vector<double> colmajor;
+  for (std::size_t c = 0; c < data.cols(); ++c) {
+    for (std::size_t r = 0; r < data.rows(); ++r) {
+      colmajor.push_back(data(r, c));
+    }
+  }
+  for (std::size_t start = 0; start < data.cols(); start += 13) {
+    const std::size_t len = std::min<std::size_t>(13, data.cols() - start);
+    by_matrix.ingest(0, data.sub_cols(start, len));
+    by_view.ingest(0, common::MatrixView::column_major(
+                          colmajor.data() + start * data.rows(), data.rows(),
+                          len));
+  }
+  const auto want = by_matrix.drain(0);
+  EXPECT_EQ(want.size(), 8u);
+  EXPECT_EQ(by_view.drain(0), want);
+  EXPECT_EQ(by_view.stats().samples, by_matrix.stats().samples);
 }
 
 TEST(StreamEngine, IngestBatchValidation) {
@@ -290,9 +321,10 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
   const std::size_t b = engine.add_node("b", train(data1));
 
   std::vector<std::pair<std::size_t, common::Matrix>> seen;
-  engine.set_tap([&seen](std::size_t node, const common::Matrix& columns) {
-    seen.emplace_back(node, columns);
-  });
+  engine.set_tap(
+      [&seen](std::size_t node, const common::MatrixView& columns) {
+        seen.emplace_back(node, columns);
+      });
 
   // Single-node ingest, then a fleet batch with an empty placeholder: the
   // tap fires once per NON-empty batch, with exactly the ingested bytes.
@@ -324,7 +356,8 @@ TEST(StreamEngine, TapDoesNotPerturbSignatures) {
   tapped.add_node("n", model);
   untapped.add_node("n", model);
   std::size_t calls = 0;
-  tapped.set_tap([&calls](std::size_t, const common::Matrix&) { ++calls; });
+  tapped.set_tap(
+      [&calls](std::size_t, const common::MatrixView&) { ++calls; });
 
   tapped.ingest(0, data);
   untapped.ingest(0, data);

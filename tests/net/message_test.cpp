@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
+#include "common/wire.hpp"
 
 namespace csm::net {
 namespace {
@@ -42,8 +47,10 @@ TEST(PayloadReader, TruncationNamesTheField) {
 TEST(PayloadReader, HugeArrayCountIsRejectedBeforeAllocation) {
   const std::vector<std::uint8_t> bytes(16, 0);
   PayloadReader in(bytes);
-  EXPECT_THROW(in.f64_array("values", UINT64_C(0x2000000000000000)),
+  std::vector<double> values;
+  EXPECT_THROW(in.f64_array("values", UINT64_C(0x2000000000000000), values),
                MessageError);
+  EXPECT_TRUE(values.empty());
   PayloadReader in2(bytes);
   EXPECT_THROW(in2.u64_array("values", UINT64_C(0x2000000000000000)),
                MessageError);
@@ -52,11 +59,57 @@ TEST(PayloadReader, HugeArrayCountIsRejectedBeforeAllocation) {
                MessageError);
 }
 
+TEST(PayloadReader, F64ArrayKeepsEveryBitAndResizesTheBuffer) {
+  // The bulk copy must carry signed zero, infinities, subnormals and NaN
+  // payloads bit for bit, and leave `out` exactly `count` long however
+  // large it was before.
+  const std::vector<double> want = {
+      -0.0, std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(UINT64_C(0x7ff8dead0000beef)), 1.0 / 3.0};
+  std::vector<std::uint8_t> bytes = {0x07};
+  for (const double v : want) common::wire::append_f64(bytes, v);
+  PayloadReader in(bytes);
+  EXPECT_EQ(in.u8("tag"), 7u);
+  std::vector<double> out(32, 9.0);
+  in.f64_array("values", want.size(), out);
+  ASSERT_EQ(out.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "value " << i;
+  }
+  EXPECT_NO_THROW(in.finish("f64s"));
+}
+
 TEST(PayloadReader, FinishRejectsTrailingBytes) {
   const std::vector<std::uint8_t> bytes = {0x01, 0x02};
   PayloadReader in(bytes);
   in.u8("a");
   EXPECT_THROW(in.finish("message"), MessageError);
+}
+
+// The MessageError text a decode of `payload` throws ("" when it decodes).
+template <typename Decode>
+std::string decode_error(Decode decode) {
+  try {
+    decode();
+  } catch (const MessageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Both kSampleBatch decoders must reject `payload` with one and the same
+// MessageError text; returns it.
+std::string sample_batch_error(const std::vector<std::uint8_t>& payload) {
+  std::vector<double> values;
+  const std::string owning =
+      decode_error([&] { (void)decode_sample_batch(payload); });
+  const std::string view =
+      decode_error([&] { (void)decode_sample_columns(payload, values); });
+  EXPECT_EQ(owning, view);
+  return view;
 }
 
 TEST(SampleBatch, RoundTripsColumnMajor) {
@@ -71,11 +124,41 @@ TEST(SampleBatch, RoundTripsColumnMajor) {
   const common::Matrix back = decode_sample_batch(payload);
   ASSERT_EQ(back.rows(), m.rows());
   ASSERT_EQ(back.cols(), m.cols());
+  std::vector<double> values;
+  const common::MatrixView view = decode_sample_columns(payload, values);
+  ASSERT_EQ(view.rows(), m.rows());
+  ASSERT_EQ(view.cols(), m.cols());
+  EXPECT_TRUE(view.contiguous_cols());
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t c = 0; c < m.cols(); ++c) {
       EXPECT_EQ(back(r, c), m(r, c)) << r << "," << c;
+      EXPECT_EQ(view(r, c), m(r, c)) << r << "," << c;
     }
   }
+  // A column-major view of the same values encodes to the same bytes.
+  EXPECT_EQ(encode_sample_batch(view), payload);
+}
+
+TEST(SampleBatch, EveryLayoutEncodesToTheSameBytes) {
+  // A row-major Matrix, a one-segment column-major view and a two-segment
+  // (wrapped ring) view of the same values are one and the same frame.
+  common::Matrix m(3, 5);
+  std::vector<double> colmajor;
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      m(r, c) = static_cast<double>(r) * 10.0 - static_cast<double>(c);
+      colmajor.push_back(m(r, c));
+    }
+  }
+  const std::vector<std::uint8_t> payload = encode_sample_batch(m);
+  EXPECT_EQ(encode_sample_batch(
+                common::MatrixView::column_major(colmajor.data(), 3, 5)),
+            payload);
+  const std::span<const double> all(colmajor);
+  EXPECT_EQ(encode_sample_batch(common::MatrixView::column_segments(
+                all.first(2 * 3), all.subspan(2 * 3), 3)),
+            payload);
+  EXPECT_EQ(decode_sample_batch(payload), m);
 }
 
 TEST(SampleBatch, RejectsTruncatedData) {
@@ -83,6 +166,9 @@ TEST(SampleBatch, RejectsTruncatedData) {
   std::vector<std::uint8_t> payload = encode_sample_batch(m);
   payload.resize(payload.size() - 1);
   EXPECT_THROW(decode_sample_batch(payload), MessageError);
+  EXPECT_EQ(sample_batch_error(payload),
+            "CSMF payload: bad samples at payload offset 8: 6 doubles need "
+            "48 bytes, 47 remain");
 }
 
 TEST(SampleBatch, RejectsTrailingBytes) {
@@ -90,6 +176,43 @@ TEST(SampleBatch, RejectsTrailingBytes) {
   std::vector<std::uint8_t> payload = encode_sample_batch(m);
   payload.push_back(0);
   EXPECT_THROW(decode_sample_batch(payload), MessageError);
+  EXPECT_EQ(sample_batch_error(payload),
+            "CSMF payload: sample-batch has 1 trailing bytes after the last "
+            "field");
+}
+
+TEST(SampleBatch, BothDecodersRejectAlike) {
+  // Short header, and a count whose byte size would overflow a naive
+  // bound: both fail on the bytes present, before any allocation.
+  EXPECT_EQ(sample_batch_error({1, 0, 0}),
+            "CSMF payload: bad n_sensors at payload offset 0: needs 4 bytes, "
+            "3 remain");
+  EXPECT_EQ(sample_batch_error({1, 0, 0, 0, 2, 0}),
+            "CSMF payload: bad n_cols at payload offset 4: needs 4 bytes, 2 "
+            "remain");
+  EXPECT_NE(sample_batch_error({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                                0xff, 0, 0, 0, 0, 0, 0, 0, 0}),
+            "");
+}
+
+TEST(SampleBatch, ColumnsReuseOneBufferAcrossFrames) {
+  std::vector<double> values;
+  const common::Matrix big(4, 5, 1.5);
+  const common::Matrix small(2, 1, -2.0);
+  EXPECT_EQ(common::Matrix(decode_sample_columns(encode_sample_batch(big),
+                                                 values)),
+            big);
+  EXPECT_EQ(common::Matrix(decode_sample_columns(encode_sample_batch(small),
+                                                 values)),
+            small);
+  EXPECT_EQ(values.size(), 2u);
+  // A zero-sensor batch keeps its declared column count.
+  const common::MatrixView empty =
+      decode_sample_columns(encode_sample_batch(common::Matrix(0, 3)), values);
+  EXPECT_EQ(empty.rows(), 0u);
+  EXPECT_EQ(empty.cols(), 3u);
+  EXPECT_EQ(decode_sample_batch(encode_sample_batch(common::Matrix(0, 3))),
+            common::Matrix(0, 3));
 }
 
 TEST(NodeAdd, RoundTripsInlineRecord) {

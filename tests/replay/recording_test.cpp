@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "common/rng.hpp"
 #include "core/stream_engine.hpp"
 #include "core/training.hpp"
@@ -148,8 +150,96 @@ TEST(Recorder, RewindRestartsIteration) {
   for (std::size_t i = 0; i < first_pass.size(); ++i) {
     EXPECT_EQ(first_pass[i].node, second_pass[i].node);
     EXPECT_EQ(first_pass[i].timestamp, second_pass[i].timestamp);
-    EXPECT_EQ(first_pass[i].columns, second_pass[i].columns);
+    EXPECT_EQ(common::Matrix(first_pass[i].columns),
+              common::Matrix(second_pass[i].columns));
   }
+}
+
+TEST(ReplayReader, BatchOutlivesItsReader) {
+  // A batch co-owns the bytes its view reads, so it stays valid after the
+  // reader (and with it the mmap or the open_bytes buffer) is gone — the
+  // sanitizer legs would flag a read of unmapped or freed storage.
+  const fs::path file = test_dir() / "outlive.csmr";
+  const common::Matrix m0 = numbered_matrix(5, 3, 0.25);
+  const common::Matrix m1 = numbered_matrix(5, 6, -7.0);
+  {
+    Recorder rec(file);
+    const std::uint32_t n = rec.add_node("n", 5);
+    rec.record(n, m0);
+    rec.record(n, m1);
+    rec.finish();
+  }
+  for (const bool mapped : {true, false}) {
+    SCOPED_TRACE(mapped ? "mmap" : "open_bytes");
+    std::vector<RecordedBatch> kept;
+    {
+      ReplayReader reader = mapped
+                                ? ReplayReader::open(file)
+                                : ReplayReader::open_bytes(file_bytes(file));
+      while (auto batch = reader.next()) kept.push_back(std::move(*batch));
+    }
+    ASSERT_EQ(kept.size(), 2u);
+    for (const RecordedBatch& b : kept) {
+      EXPECT_NE(b.storage, nullptr);
+      EXPECT_TRUE(b.columns.contiguous_cols());
+      EXPECT_EQ(b.columns.n_col_segments(), 1u);
+    }
+    EXPECT_EQ(common::Matrix(kept[0].columns), m0);
+    EXPECT_EQ(common::Matrix(kept[1].columns), m1);
+    // Column c is the c-th recorded sample, contiguous across sensors.
+    const std::span<const double> col = kept[1].columns.col(4);
+    for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(col[r], m1(r, 4));
+  }
+}
+
+TEST(Recorder, EveryLayoutRecordsTheSameBytes) {
+  // record() takes a view: a row-major Matrix, a one-segment column-major
+  // view and a two-segment view of the same samples write one file.
+  const common::Matrix m = numbered_matrix(4, 7, 2.5);
+  std::vector<double> colmajor;
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    for (std::size_t r = 0; r < m.rows(); ++r) colmajor.push_back(m(r, c));
+  }
+  const std::span<const double> all(colmajor);
+  const common::MatrixView views[] = {
+      common::MatrixView(m),
+      common::MatrixView::column_major(colmajor.data(), 4, 7),
+      common::MatrixView::column_segments(all.first(3 * 4), all.subspan(3 * 4),
+                                          4)};
+  std::vector<std::vector<std::uint8_t>> files;
+  for (const common::MatrixView& v : views) {
+    Recorder rec;
+    const std::uint32_t n = rec.add_node("n", 4);
+    rec.record(n, v);
+    rec.record(n, v, 99);
+    rec.finish();
+    files.push_back(rec.bytes());
+  }
+  EXPECT_EQ(files[1], files[0]);
+  EXPECT_EQ(files[2], files[0]);
+}
+
+TEST(Recorder, ReplayedBatchesReencodeIdentically) {
+  // Recording each replayed view as it comes (with its timestamp) rebuilds
+  // the capture byte for byte: the identity the recording fuzzer checks.
+  Recorder first;
+  const std::uint32_t a = first.add_node("alpha", 3);
+  const std::uint32_t b = first.add_node("beta", 5);
+  first.record(a, numbered_matrix(3, 4, 0.5));
+  first.record(b, numbered_matrix(5, 2, -1.0), 1000);
+  first.record(a, numbered_matrix(3, 9, 4.0));
+  first.finish();
+
+  ReplayReader reader = ReplayReader::open_bytes(first.bytes());
+  Recorder second;
+  for (std::size_t i = 0; i < reader.n_nodes(); ++i) {
+    second.add_node(reader.node(i).id, reader.node(i).n_sensors);
+  }
+  while (auto batch = reader.next()) {
+    second.record(batch->node, batch->columns, batch->timestamp);
+  }
+  second.finish();
+  EXPECT_EQ(second.bytes(), first.bytes());
 }
 
 TEST(Recorder, ValidatesWriterMisuse) {
@@ -251,9 +341,10 @@ TEST(EngineRecorder, CapturesEngineIngestExactly) {
   recorder.on_node_add(a, "alpha", 3);
   const std::size_t b = engine.add_node("beta", core::train(train_b));
   recorder.on_node_add(b, "beta", 2);
-  engine.set_tap([&recorder](std::size_t node, const common::Matrix& cols) {
-    recorder.tap(node, cols);
-  });
+  engine.set_tap(
+      [&recorder](std::size_t node, const common::MatrixView& cols) {
+        recorder.tap(node, cols);
+      });
 
   const common::Matrix batch_a = train_a.sub_cols(0, 12);
   const common::Matrix batch_b = train_b.sub_cols(4, 9);

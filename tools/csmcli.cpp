@@ -800,7 +800,7 @@ int cmd_stream(const Options& opts) {
   }
   if (recorder) {
     engine.set_tap([&recorder](std::size_t node,
-                               const common::Matrix& columns) {
+                               const common::MatrixView& columns) {
       recorder->tap(node, columns);
     });
   }
@@ -965,8 +965,15 @@ int cmd_replay(const Options& opts) {
               << opts.seed << ")\n";
   }
   while (auto batch = reader.next()) {
-    scenario.apply(batch->node, batch->timestamp, batch->columns);
-    engine.ingest(batch->node, batch->columns);
+    if (scenario.empty()) {
+      engine.ingest(batch->node, batch->columns);
+      continue;
+    }
+    // Replayed batches are read-only views into the recording: the
+    // scenario edits its own copy.
+    common::Matrix columns = batch->columns;
+    scenario.apply(batch->node, batch->timestamp, columns);
+    engine.ingest(batch->node, columns);
   }
 
   return report_and_drain(engine, opts);
@@ -997,7 +1004,7 @@ int cmd_serve(const Options& opts) {
     recorder.emplace(opts.record_file);
     daemon.engine_hook = [&recorder](core::StreamEngine& engine) {
       engine.set_tap([&recorder](std::size_t node,
-                                 const common::Matrix& columns) {
+                                 const common::MatrixView& columns) {
         recorder->tap(node, columns);
       });
     };

@@ -8,7 +8,8 @@
 #   replays of one recording produce byte-identical signature files)
 #
 #   replay --scenario                    (fault injection perturbs the
-#   signatures; the clean recording on disk is untouched)
+#   signatures; the clean recording on disk is untouched; and it matches
+#   the same scenario applied by `record`, models fixed by a pack)
 #
 # plus a corrupt-fixture check that a wrong-magic file is rejected with the
 # error named. Window/step are passed explicitly everywhere: `stream`
@@ -96,6 +97,31 @@ run_step(replay_scenario zero "scenario: drift:at=500"
 require_different(scenario_perturbs_signatures
   "${WORK_DIR}/replay.sigs" "${WORK_DIR}/faulted.sigs")
 file(SIZE "${WORK_DIR}/capture.csmr" size_after)
+
+# Replayed batches are read-only views into the capture, so a scenario
+# replay edits a copy of each batch. Pinned against the same scenario
+# applied at record time: with the models held fixed by a pack, both routes
+# must feed the engine the same values and drain the same bytes.
+run_step(stream_seed7 zero "recorded [0-9]+ batches"
+  "${CSMCLI}" stream fault ${flags} --seed 7
+  --record "${WORK_DIR}/capture7.csmr" --dump-models "${WORK_DIR}/models7")
+run_step(pack_seed7 zero "packed [0-9]+ models"
+  "${CSMCLI}" pack "${WORK_DIR}/models7" "${WORK_DIR}/fleet7.pack")
+run_step(replay_scenario_pack zero "scenario: drift:at=500"
+  "${CSMCLI}" replay "${WORK_DIR}/capture7.csmr" ${flags}
+  --pack "${WORK_DIR}/fleet7.pack"
+  --scenario "drift:at=500,mix=0.6,gain=1.6" --seed 7
+  --sig-out "${WORK_DIR}/faulted_on_replay.sigs")
+run_step(record_scenario zero "recorded [0-9]+ nodes"
+  "${CSMCLI}" record fault "${WORK_DIR}/faulted7.csmr"
+  --scale 0.2 --batch 256 --scenario "drift:at=500,mix=0.6,gain=1.6"
+  --seed 7)
+run_step(replay_faulted_capture zero ""
+  "${CSMCLI}" replay "${WORK_DIR}/faulted7.csmr" ${flags}
+  --pack "${WORK_DIR}/fleet7.pack"
+  --sig-out "${WORK_DIR}/faulted_on_record.sigs")
+require_identical(scenario_on_replay_matches_scenario_on_record
+  "${WORK_DIR}/faulted_on_replay.sigs" "${WORK_DIR}/faulted_on_record.sigs")
 
 # Drift-triggered retrain over the faulted replay still completes and
 # reports the detector counters.
