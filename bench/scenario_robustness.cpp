@@ -121,7 +121,7 @@ CellRun run_cell(const std::shared_ptr<const core::SignatureMethod>& method,
   } catch (const std::exception& e) {
     out.error = e.what();
   }
-  out.swaps = stream.retrain_swaps();
+  out.swaps = stream.retrain_count();
   out.drift_windows = stream.drift_windows();
   out.drift_flags = stream.drift_flags();
   out.drift_retrains = stream.drift_retrains();
@@ -157,7 +157,6 @@ int bench_run(Runner& run) {
   base.window_length = 60;
   base.window_step = 10;
   base.history_length = 2048;
-  base.cs.blocks = 8;
 
   // Tuned on the factor-model generator: clean windows score ~0.12 with a
   // measured max of ~0.23; the drift injector below scores >1.5 from its

@@ -1,22 +1,22 @@
-// Online ingestion throughput: ring-buffer CsStream vs the erase-front
+// Online ingestion throughput: a ring-buffer CS stream vs the erase-front
 // history it replaced, window-copy emit vs the zero-copy MatrixView emit,
 // and StreamEngine scaling across node counts.
 //
 // The paper's in-band ODA claim only holds if the per-sample cost of the
-// online path is independent of how much history a stream retains. The old
-// CsStream kept its history in a std::vector<std::vector<double>>: one heap
-// allocation per push and an O(history) erase-front once the buffer was
-// full, so throughput degraded as history_length grew. NaiveStream below
-// reproduces that implementation verbatim as the "before" baseline; the
-// library CsStream (common::RingMatrix) is the "after". The copy-vs-view
-// table isolates the emit path: CopyStream reproduces the pre-MatrixView
-// emit (copy_latest window assembly + sorted/derivative temporaries per
-// signature) while the library CsStream reads the ring segments in place
-// through the fused smooth_window kernel — the two must emit identical
-// signatures, and the view path must not be slower at any history length.
-// The last table fans synthetic node fleets through StreamEngine and
-// reports aggregate samples/sec, and the driver exits non-zero if
-// StreamEngine ever disagrees with per-node CsStream runs.
+// online path is independent of how much history a stream retains. The
+// first CS stream kept its history in a std::vector<std::vector<double>>:
+// one heap allocation per push and an O(history) erase-front once the
+// buffer was full, so throughput degraded as history_length grew.
+// NaiveStream below reproduces that implementation verbatim as the
+// "before" baseline; a library MethodStream over a CsSignatureMethod
+// (common::RingMatrix) is the "after". The copy-vs-view table isolates the
+// emit path: CopyStream reproduces the pre-MatrixView emit (copy_latest
+// window assembly + sorted/derivative temporaries per signature) while the
+// library stream reads the ring in place through the CS emit kernel — the
+// two must emit identical signatures, and the view path must not be slower
+// at any history length. The last table fans synthetic node fleets through
+// StreamEngine and reports aggregate samples/sec, and the driver exits
+// non-zero if StreamEngine ever disagrees with per-node MethodStream runs.
 //
 // The daemon-loopback table prices the fleet-daemon service path: the same
 // ingest driven through a FleetServer over the in-process loopback
@@ -80,6 +80,7 @@
 #include "core/method_stream.hpp"
 #include "core/model_codec.hpp"
 #include "core/model_pack.hpp"
+#include "core/pipeline.hpp"
 #include "core/smoothing.hpp"
 #include "core/stream_engine.hpp"
 #include "core/streaming.hpp"
@@ -109,13 +110,21 @@ common::Matrix synthetic_stream(std::size_t n, std::size_t t,
   return s;
 }
 
-// The pre-ring-buffer CsStream, kept verbatim as the "before" baseline:
+// A trained CS method with `cs` options, as a MethodStream drives it.
+std::shared_ptr<const core::SignatureMethod> cs_method(core::CsModel model,
+                                                       core::CsOptions cs) {
+  return std::make_shared<const core::CsSignatureMethod>(
+      std::make_shared<const core::CsPipeline>(std::move(model), cs));
+}
+
+// The pre-ring-buffer CS stream, kept verbatim as the "before" baseline:
 // vector-of-vectors history with erase-front eviction and element-by-element
 // window assembly. Retraining omitted (disabled in the comparison anyway).
 class NaiveStream {
  public:
-  NaiveStream(core::CsModel model, core::StreamOptions options)
-      : model_(std::move(model)), options_(options) {
+  NaiveStream(core::CsModel model, core::StreamOptions options,
+              core::CsOptions cs)
+      : model_(std::move(model)), options_(options), cs_(cs) {
     history_.reserve(options_.history_length);
     next_emit_at_ = options_.window_length;
   }
@@ -153,21 +162,22 @@ class NaiveStream {
       derivs = stats::backward_diff_rows(sorted);
     }
     return core::smooth(sorted, derivs,
-                        options_.cs.resolve_blocks(model_.n_sensors()));
+                        cs_.resolve_blocks(model_.n_sensors()));
   }
 
  private:
   core::CsModel model_;
   core::StreamOptions options_;
+  core::CsOptions cs_;
   std::vector<std::vector<double>> history_;
   std::size_t samples_seen_ = 0;
   std::size_t next_emit_at_ = 0;
 };
 
 std::size_t run_naive(const core::CsModel& model,
-                      const core::StreamOptions& opts,
+                      const core::StreamOptions& opts, core::CsOptions cs,
                       const common::Matrix& data) {
-  NaiveStream stream(model, opts);
+  NaiveStream stream(model, opts, cs);
   std::vector<double> column(data.rows());
   std::size_t sigs = 0;
   for (std::size_t c = 0; c < data.cols(); ++c) {
@@ -177,15 +187,17 @@ std::size_t run_naive(const core::CsModel& model,
   return sigs;
 }
 
-// The pre-MatrixView CsStream emit path, kept verbatim as the copy-vs-view
+// The pre-MatrixView CS stream emit path, kept verbatim as the copy-vs-view
 // "before" baseline: ring-buffer ingest (that part stays), but every emit
 // assembles the window with copy_latest into a reused matrix, materialises
 // a sorted matrix, a sorted seed and a derivative matrix, then smooths.
 class CopyStream {
  public:
-  CopyStream(core::CsModel model, core::StreamOptions options)
+  CopyStream(core::CsModel model, core::StreamOptions options,
+             core::CsOptions cs)
       : model_(std::move(model)),
         options_(options),
+        cs_(cs),
         history_(model_.n_sensors(), options_.history_length),
         window_(model_.n_sensors(), options_.window_length),
         seed_col_(model_.n_sensors(), 1) {
@@ -217,8 +229,7 @@ class CopyStream {
       } else {
         derivs = stats::backward_diff_rows(sorted);
       }
-      out.push_back(core::smooth(sorted, derivs,
-                                 options_.cs.resolve_blocks(n)));
+      out.push_back(core::smooth(sorted, derivs, cs_.resolve_blocks(n)));
     }
     return out;
   }
@@ -226,6 +237,7 @@ class CopyStream {
  private:
   core::CsModel model_;
   core::StreamOptions options_;
+  core::CsOptions cs_;
   common::RingMatrix history_;
   common::Matrix window_;
   common::Matrix seed_col_;
@@ -234,32 +246,27 @@ class CopyStream {
 };
 
 std::size_t run_ring(const core::CsModel& model,
-                     const core::StreamOptions& opts,
+                     const core::StreamOptions& opts, core::CsOptions cs,
                      const common::Matrix& data) {
-  core::CsStream stream(model, opts);
+  core::MethodStream stream(cs_method(model, cs), opts);
   return stream.push_all(data).size();
 }
 
 bool engine_matches_per_node_streams(const core::StreamOptions& opts,
-                                     std::uint64_t seed) {
+                                     core::CsOptions cs, std::uint64_t seed) {
   const std::size_t n_nodes = 8;
   core::StreamEngine engine(opts);
   std::vector<common::Matrix> batches;
-  std::vector<core::CsModel> models;
+  std::vector<std::shared_ptr<const core::SignatureMethod>> methods;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     batches.push_back(synthetic_stream(24, 600, seed + i));
-    models.push_back(core::train(batches.back()));
-    engine.add_node("node", models.back());
+    methods.push_back(cs_method(core::train(batches.back()), cs));
+    engine.add_node("node", methods.back());
   }
   engine.ingest_batch(batches);
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    core::CsStream reference(models[i], opts);
-    const auto expected = reference.push_all(batches[i]);
-    const auto got = engine.drain(i);
-    if (got.size() != expected.size()) return false;
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      if (!(got[k] == expected[k].flatten())) return false;
-    }
+    core::MethodStream reference(methods[i], opts);
+    if (engine.drain(i) != reference.push_all(batches[i])) return false;
   }
   return true;
 }
@@ -289,7 +296,7 @@ RetrainRun run_retrain_policy(
     out.push_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
-  out.swaps = stream.retrain_swaps();
+  out.swaps = stream.retrain_count();
   out.aborts = stream.retrain_aborts();
   return out;
 }
@@ -311,7 +318,7 @@ namespace csm::benchkit {
 
 Setup bench_setup() {
   return {"stream_throughput",
-          "CsStream push path (erase-front history vs ring buffer), "
+          "CS stream push path (erase-front history vs ring buffer), "
           "StreamEngine fleet-scaling throughput, the daemon loopback "
           "frame path vs direct engine ingest, and fleet cold-start from "
           "per-file models vs one model pack",
@@ -324,7 +331,7 @@ int bench_run(Runner& run) {
   core::StreamOptions opts;
   opts.window_length = 60;
   opts.window_step = 10;
-  opts.cs.blocks = 20;
+  const core::CsOptions cs{20, false};
 
   const std::vector<std::size_t> sensor_counts =
       quick ? std::vector<std::size_t>{16} : std::vector<std::size_t>{16, 64};
@@ -332,7 +339,7 @@ int bench_run(Runner& run) {
       quick ? std::vector<std::size_t>{512, 4096}
             : std::vector<std::size_t>{1024, 4096, 16384};
 
-  std::printf("== CsStream push path: erase-front history vs ring buffer "
+  std::printf("== CS stream push path: erase-front history vs ring buffer "
               "(wl=60, ws=10) ==\n");
   std::printf("%8s %9s %9s %15s %15s %9s\n", "sensors", "history", "samples",
               "naive (smp/s)", "ring (smp/s)", "speedup");
@@ -356,10 +363,10 @@ int bench_run(Runner& run) {
       std::size_t ring_sigs = 0;
       CaseResult& naive =
           run.measure("naive/" + point, static_cast<double>(t),
-                      [&] { naive_sigs = run_naive(model, opts, data); });
+                      [&] { naive_sigs = run_naive(model, opts, cs, data); });
       CaseResult& ring =
           run.measure("ring/" + point, static_cast<double>(t),
-                      [&] { ring_sigs = run_ring(model, opts, data); });
+                      [&] { ring_sigs = run_ring(model, opts, cs, data); });
       for (CaseResult* c : {&naive, &ring}) {
         c->seed = seed;
         c->param("sensors", std::to_string(n));
@@ -379,7 +386,7 @@ int bench_run(Runner& run) {
     }
   }
 
-  std::printf("\n== CsStream emit path: window copy vs zero-copy MatrixView "
+  std::printf("\n== CS stream emit path: window copy vs zero-copy MatrixView "
               "(wl=60, ws=10) ==\n");
   std::printf("%8s %9s %9s %15s %15s %9s\n", "sensors", "history", "samples",
               "copy (smp/s)", "view (smp/s)", "speedup");
@@ -398,15 +405,15 @@ int bench_run(Runner& run) {
       opts.history_length = history;
 
       std::vector<core::Signature> copy_sigs;
-      std::vector<core::Signature> view_sigs;
+      std::vector<std::vector<double>> view_sigs;
       CaseResult& copy =
           run.measure("window-copy/" + point, static_cast<double>(t), [&] {
-            CopyStream stream(model, opts);
+            CopyStream stream(model, opts, cs);
             copy_sigs = stream.push_all(data);
           });
       CaseResult& view =
           run.measure("window-view/" + point, static_cast<double>(t), [&] {
-            core::CsStream stream(model, opts);
+            core::MethodStream stream(cs_method(model, cs), opts);
             view_sigs = stream.push_all(data);
           });
       for (CaseResult* c : {&copy, &view}) {
@@ -417,7 +424,11 @@ int bench_run(Runner& run) {
       }
       copy.metric("signatures", static_cast<double>(copy_sigs.size()));
       view.metric("signatures", static_cast<double>(view_sigs.size()));
-      if (copy_sigs != view_sigs) {
+      std::vector<std::vector<double>> copy_flat;
+      for (const core::Signature& sig : copy_sigs) {
+        copy_flat.push_back(sig.flatten());
+      }
+      if (copy_flat != view_sigs) {
         std::fprintf(stderr,
                      "FAIL: view emit differs from copy emit at %s\n",
                      point.c_str());
@@ -550,7 +561,7 @@ int bench_run(Runner& run) {
         name, static_cast<double>(nodes * fleet_t), [&] {
           core::StreamEngine engine(opts);
           for (std::size_t i = 0; i < nodes; ++i) {
-            engine.add_node("node", models[i]);
+            engine.add_node("node", cs_method(models[i], cs));
           }
           engine.ingest_batch(batches);
           signatures = engine.stats().signatures;
@@ -586,7 +597,6 @@ int bench_run(Runner& run) {
     d_opts.window_length = 60;
     d_opts.window_step = 10;
     d_opts.history_length = 1024;
-    d_opts.cs.blocks = 8;
     const auto& registry = baselines::default_registry();
 
     std::vector<std::string> ids;
@@ -986,7 +996,6 @@ int bench_run(Runner& run) {
     rt_opts.window_length = 60;
     rt_opts.window_step = 10;
     rt_opts.history_length = 256;
-    rt_opts.cs.blocks = 8;
     rt_opts.retrain_threads = 2;
     // Rare enough that a single-core runner's scheduler noise around each
     // fit stays below the p99 index (pushes affected per fit << 1% of the
@@ -1092,9 +1101,9 @@ int bench_run(Runner& run) {
     }
   }
 
-  std::printf("\n== StreamEngine vs per-node CsStream equivalence ==\n");
+  std::printf("\n== StreamEngine vs per-node MethodStream equivalence ==\n");
   opts.history_length = 1024;
-  if (!engine_matches_per_node_streams(opts,
+  if (!engine_matches_per_node_streams(opts, cs,
                                        run.derive_seed("equivalence"))) {
     std::printf("FAIL: engine output differs from per-node streams\n");
     return 1;

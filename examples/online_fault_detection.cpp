@@ -3,15 +3,18 @@
 // A CS model and a random forest are trained offline on the first 60% of
 // every run in the Fault segment — the "fault catalog" a production system
 // accumulates. The remaining 40% of each run is then replayed
-// sample-by-sample through a CsStream, classifying every emitted signature
-// in real time, exactly the control loop the paper's Fault use case feeds.
+// sample-by-sample through a CS MethodStream, classifying every emitted
+// signature in real time, exactly the control loop the paper's Fault use
+// case feeds.
 //
 // Usage: online_fault_detection [scale]
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 
-#include "core/streaming.hpp"
+#include "core/method_stream.hpp"
+#include "core/pipeline.hpp"
 #include "core/training.hpp"
 #include "harness/experiment.hpp"
 #include "hpcoda/generator.hpp"
@@ -31,20 +34,21 @@ int main(int argc, char** argv) {
 
   // Offline phase: CS model over the historical data, then a classifier
   // over the training share of every run.
-  const core::CsModel model = core::train(sensors);
+  const auto method = std::make_shared<const core::CsSignatureMethod>(
+      std::make_shared<const core::CsPipeline>(core::train(sensors),
+                                               core::CsOptions{20, false}));
   core::StreamOptions opts;
   opts.window_length = seg.window.length;
   opts.window_step = seg.window.step;
-  opts.cs.blocks = 20;
 
   data::Dataset train_set;
   for (const hpcoda::RunInfo& run : seg.runs) {
     const std::size_t train_len = (run.end - run.begin) * 3 / 5;
     if (train_len < opts.window_length) continue;
-    core::CsStream trainer(model, opts);
-    for (const core::Signature& sig :
+    core::MethodStream trainer(method, opts);
+    for (const std::vector<double>& sig :
          trainer.push_all(sensors.sub_cols(run.begin, train_len))) {
-      train_set.features.append_row(sig.flatten());
+      train_set.features.append_row(sig);
       train_set.labels.push_back(run.label);
     }
   }
@@ -62,14 +66,14 @@ int main(int argc, char** argv) {
     const std::size_t train_len = (run.end - run.begin) * 3 / 5;
     const std::size_t test_begin = run.begin + train_len;
     if (run.end - test_begin < opts.window_length) continue;
-    core::CsStream stream(model, opts);
+    core::MethodStream stream(method, opts);
     std::vector<double> column(sensors.rows());
     for (std::size_t c = test_begin; c < run.end; ++c) {
       for (std::size_t s = 0; s < sensors.rows(); ++s) {
         column[s] = sensors(s, c);
       }
       if (const auto sig = stream.push(column)) {
-        const int predicted = forest.predict_one(sig->flatten());
+        const int predicted = forest.predict_one(*sig);
         cm.add(run.label, predicted);
         const auto cls = static_cast<std::size_t>(run.label);
         ++per_class_total[cls];

@@ -13,7 +13,8 @@ class BodikMethod final : public core::SignatureMethod {
  public:
   static constexpr std::size_t kFeaturesPerSensor = 9;
 
-  using core::SignatureMethod::compute;
+  // Keeps the inherited fit(view, TrainContext&) visible next to the
+  // one-argument override below.
   using core::SignatureMethod::fit;
 
   std::string name() const override { return "Bodik"; }

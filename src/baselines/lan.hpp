@@ -19,7 +19,8 @@ class LanMethod final : public core::SignatureMethod {
 
   std::size_t wr() const noexcept { return wr_; }
 
-  using core::SignatureMethod::compute;
+  // Keeps the inherited fit(view, TrainContext&) visible next to the
+  // one-argument override below.
   using core::SignatureMethod::fit;
 
   std::string name() const override { return "Lan"; }

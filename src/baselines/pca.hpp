@@ -70,7 +70,8 @@ class PcaMethod final : public core::SignatureMethod {
   /// Trained method. Throws std::invalid_argument on an untrained model.
   PcaMethod(PcaModel model, std::string display_name = {});
 
-  using core::SignatureMethod::compute;
+  // Keeps the inherited fit(view, TrainContext&) visible next to the
+  // one-argument override below.
   using core::SignatureMethod::fit;
 
   std::string name() const override { return name_; }

@@ -16,7 +16,8 @@ class TuncerMethod final : public core::SignatureMethod {
  public:
   static constexpr std::size_t kFeaturesPerSensor = 11;
 
-  using core::SignatureMethod::compute;
+  // Keeps the inherited fit(view, TrainContext&) visible next to the
+  // one-argument override below.
   using core::SignatureMethod::fit;
 
   std::string name() const override { return "Tuncer"; }

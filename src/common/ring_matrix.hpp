@@ -1,6 +1,6 @@
 // Fixed-capacity ring buffer of matrix columns.
 //
-// Streaming consumers (core::CsStream, core::StreamEngine) keep the last
+// Streaming consumers (core::MethodStream, core::StreamEngine) keep the last
 // `capacity` sensor columns of a live stream. A naive
 // std::vector<std::vector<double>> history pays one heap allocation per push
 // and an O(capacity) erase-front once full, which makes the per-sample cost

@@ -135,18 +135,9 @@ void MethodStream::maybe_retrain() {
   if (samples_seen_ % options_.retrain_interval != 0) return;
   if (history_.size() < options_.window_length + 1) return;
   switch (options_.retrain_policy) {
-    case RetrainPolicy::kSync: {
-      // Inline on the ingest thread, as it always was; the whole retained
-      // history flows to fit() as a view — no to_matrix(). The context only
-      // recycles scratch buffers, so results stay byte-identical.
-      if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
-      const common::Timer timer;
-      method_ = std::shared_ptr<const SignatureMethod>(
-          method_->fit(history_.history_view(), *spare_context_));
-      ++retrain_count_;
-      retrain_latency_us_.add(timer.seconds() * 1e6);
+    case RetrainPolicy::kSync:
+      refit_inline();
       break;
-    }
     case RetrainPolicy::kAsync:
       launch_shadow_fit(/*supersede=*/true);
       break;
@@ -178,18 +169,25 @@ void MethodStream::maybe_drift_retrain(const common::MatrixView& window) {
   if (++drift_streak_ < options_.drift_patience) return;
   drift_streak_ = 0;
   if (history_.size() < options_.window_length + 1) return;
-  // Inline sync fit over the whole buffered history — deterministic, like
-  // kSync, which is what lets the tests pin "exactly one retrain".
+  // Inline, like kSync — deterministic, which is what lets the tests pin
+  // "exactly one retrain".
+  refit_inline();
+  ++drift_retrains_;
+  // The stream now tracks the new regime: rebuild the reference from the
+  // window that triggered the retrain so a completed shift scores clean.
+  drift_ref_ = stats::make_drift_reference(window, options_.drift_pairs);
+}
+
+void MethodStream::refit_inline() {
+  // The whole retained history flows to fit() as a view — no to_matrix().
+  // The context only recycles scratch buffers, so results stay
+  // byte-identical.
   if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
   const common::Timer timer;
   method_ = std::shared_ptr<const SignatureMethod>(
       method_->fit(history_.history_view(), *spare_context_));
   ++retrain_count_;
-  ++drift_retrains_;
   retrain_latency_us_.add(timer.seconds() * 1e6);
-  // The stream now tracks the new regime: rebuild the reference from the
-  // window that triggered the retrain so a completed shift scores clean.
-  drift_ref_ = stats::make_drift_reference(window, options_.drift_pairs);
 }
 
 void MethodStream::launch_shadow_fit(bool supersede) {

@@ -26,8 +26,8 @@
 // the old model mid-fit and the ingest thread never waits on a fit. A fit
 // superseded by a newer retrain is cancelled through its TrainContext token
 // and counted in retrain_aborts(). This single loop serves the whole method
-// fleet: CsStream is a thin typed wrapper over it, and StreamEngine fans it
-// out across nodes (sharing one executor between them).
+// fleet: a CS stream is a MethodStream over a CsSignatureMethod, and
+// StreamEngine fans it out across nodes (sharing one executor between them).
 #pragma once
 
 #include <cstddef>
@@ -90,9 +90,8 @@ class MethodStream {
   }
   /// Retrained models actually swapped in (under kSync every fired retrain;
   /// under the async policies, fits that completed and reached an emit
-  /// boundary). retrain_swaps() is the explicit alias.
+  /// boundary).
   std::size_t retrain_count() const noexcept { return retrain_count_; }
-  std::size_t retrain_swaps() const noexcept { return retrain_count_; }
   /// Retrains that fired but never produced a swap: superseded (cancelled)
   /// fits, skip-if-busy suppressions, and discarded stale results.
   std::size_t retrain_aborts() const noexcept { return retrain_aborts_; }
@@ -137,6 +136,9 @@ class MethodStream {
   /// about to be computed: builds the reference on first sight, scores
   /// later windows, and refits inline once the patience streak fills.
   void maybe_drift_retrain(const common::MatrixView& window);
+  /// Refits the method on the ingest thread over the whole buffered history
+  /// (kSync and kOnDrift) and records the fit latency.
+  void refit_inline();
   void launch_shadow_fit(bool supersede);
   /// Applies a finished shadow fit (called at emit boundaries): swaps the
   /// method shared_ptr, bumps the counters, rethrows a fit failure on the

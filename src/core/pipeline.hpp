@@ -86,12 +86,6 @@ class CsSignatureMethod final : public SignatureMethod {
   CsSignatureMethod(std::shared_ptr<const CsPipeline> pipeline,
                     std::string display_name = {});
 
-  // Keep the inherited Matrix-taking thin overloads visible next to the
-  // MatrixView overrides below.
-  using SignatureMethod::compute;
-  using SignatureMethod::compute_streaming;
-  using SignatureMethod::fit;
-
   std::string name() const override { return name_; }
   std::size_t signature_length(std::size_t n_sensors) const override;
   std::vector<double> compute(const common::MatrixView& window) const override;

@@ -8,7 +8,6 @@
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "core/model_pack.hpp"
-#include "core/pipeline.hpp"
 
 namespace csm::core {
 
@@ -97,14 +96,6 @@ std::size_t StreamEngine::add_node(
   std::unique_lock lock(nodes_mutex_);
   nodes_.push_back(std::move(node));
   return nodes_.size() - 1;
-}
-
-std::size_t StreamEngine::add_node(std::string name, CsModel model) {
-  auto pipeline =
-      std::make_shared<const CsPipeline>(std::move(model), options_.cs);
-  return add_node(std::move(name),
-                  std::make_shared<const CsSignatureMethod>(
-                      std::move(pipeline)));
 }
 
 std::size_t StreamEngine::add_node(const ModelPack& pack, std::string_view id,

@@ -50,7 +50,6 @@
 
 #include "common/matrix.hpp"
 #include "common/matrix_view.hpp"
-#include "core/cs_model.hpp"
 #include "core/method_stream.hpp"
 #include "core/signature_method.hpp"
 #include "core/streaming.hpp"
@@ -161,9 +160,6 @@ class StreamEngine {
   std::size_t add_node(std::string name,
                        std::shared_ptr<const SignatureMethod> method,
                        std::size_t n_sensors = 0);
-
-  /// CS convenience: wraps `model` with this engine's CsOptions.
-  std::size_t add_node(std::string name, CsModel model);
 
   /// Fleet-store convenience: lazily deserialises node `id`'s record from a
   /// mapped ModelPack through `registry` (the node keeps `id` as its name).

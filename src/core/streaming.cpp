@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
-
-#include "core/method_stream.hpp"
 
 namespace csm::core {
 
@@ -55,93 +52,6 @@ void StreamOptions::validate() const {
         "StreamOptions: drift_threshold is only meaningful under kOnDrift "
         "(set retrain_policy accordingly)");
   }
-}
-
-namespace {
-
-// The wrapped method always computes both channels (real_only false): the
-// historical CsStream contract returns full Signatures and leaves dropping
-// the derivative channel to the consumer's flatten(real_only) call.
-std::shared_ptr<const CsSignatureMethod> make_cs_method(
-    CsModel model, const StreamOptions& options) {
-  auto pipeline = std::make_shared<const CsPipeline>(
-      std::move(model), CsOptions{options.cs.blocks, false});
-  return std::make_shared<const CsSignatureMethod>(std::move(pipeline));
-}
-
-}  // namespace
-
-CsStream::CsStream(CsModel model, StreamOptions options)
-    : options_(options), model_(model) {
-  options_.validate();
-  if (model.n_sensors() == 0) {
-    throw std::invalid_argument("CsStream: empty model");
-  }
-  blocks_ = options_.cs.resolve_blocks(model.n_sensors());
-  stream_ = std::make_unique<MethodStream>(
-      make_cs_method(std::move(model), options_), options_);
-}
-
-CsStream::~CsStream() = default;
-CsStream::CsStream(CsStream&&) noexcept = default;
-CsStream& CsStream::operator=(CsStream&&) noexcept = default;
-
-std::size_t CsStream::n_sensors() const noexcept {
-  return stream_->n_sensors();
-}
-std::size_t CsStream::samples_seen() const noexcept {
-  return stream_->samples_seen();
-}
-std::size_t CsStream::signatures_emitted() const noexcept {
-  return stream_->signatures_emitted();
-}
-std::size_t CsStream::retrain_count() const noexcept {
-  return stream_->retrain_count();
-}
-
-const CsModel& CsStream::model() const { return model_; }
-
-void CsStream::sync_model() {
-  if (model_synced_at_ == stream_->retrain_count()) return;
-  const auto* cs =
-      dynamic_cast<const CsSignatureMethod*>(&stream_->method());
-  if (!cs || !cs->pipeline()) {
-    throw std::logic_error("CsStream: stream method is not a trained CS");
-  }
-  model_ = cs->pipeline()->model();
-  model_synced_at_ = stream_->retrain_count();
-}
-
-Signature CsStream::unflatten(std::vector<double> features) const {
-  if (features.size() != 2 * blocks_) {
-    throw std::logic_error("CsStream: unexpected feature-vector length");
-  }
-  const auto split = features.begin() + static_cast<std::ptrdiff_t>(blocks_);
-  std::vector<double> re(features.begin(), split);
-  std::vector<double> im(split, features.end());
-  return Signature(std::move(re), std::move(im));
-}
-
-std::optional<Signature> CsStream::push(std::span<const double> column) {
-  if (column.size() != n_sensors()) {
-    throw std::invalid_argument("CsStream::push: wrong column length");
-  }
-  auto features = stream_->push(column);
-  sync_model();
-  if (!features) return std::nullopt;
-  return unflatten(std::move(*features));
-}
-
-std::vector<Signature> CsStream::push_all(const common::Matrix& columns) {
-  if (columns.rows() != n_sensors()) {
-    throw std::invalid_argument("CsStream::push_all: wrong sensor count");
-  }
-  std::vector<Signature> out;
-  for (auto& features : stream_->push_all(columns)) {
-    out.push_back(unflatten(std::move(features)));
-  }
-  sync_model();
-  return out;
 }
 
 }  // namespace csm::core

@@ -141,7 +141,6 @@ TEST(DefaultRegistry, EveryMethodStreamsOverTheRingBuffer) {
   core::StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
 
   for (const auto& [key, spec_text] : example_specs()) {
     SCOPED_TRACE(spec_text);

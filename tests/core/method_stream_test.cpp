@@ -19,6 +19,7 @@
 #include "core/smoothing.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
+#include "../cs_method_test_util.hpp"
 
 namespace csm::core {
 namespace {
@@ -40,28 +41,26 @@ StreamOptions stream_options() {
   StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
 }
 
-TEST(MethodStream, CsMatchesCsStreamExactly) {
+constexpr CsOptions kCs{4, false};
+
+TEST(MethodStream, CsMatchesOfflineTransformExactly) {
   const common::Matrix s = wave_matrix(6, 120, 1);
   const CsModel model = train(s);
   const StreamOptions opts = stream_options();
 
-  CsStream reference(model, opts);
-  auto pipeline = std::make_shared<const CsPipeline>(model, opts.cs);
-  MethodStream generic(std::make_shared<const CsSignatureMethod>(pipeline),
-                       opts);
-
-  const auto expected = reference.push_all(s);
-  const auto got = generic.push_all(s);
+  MethodStream stream(test_util::cs_method(model, kCs), opts);
+  const auto expected = CsPipeline(model, kCs).transform(
+      s, data::WindowSpec{opts.window_length, opts.window_step});
+  const auto got = stream.push_all(s);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k], expected[k].flatten()) << "signature " << k;
   }
-  EXPECT_EQ(generic.samples_seen(), 120u);
-  EXPECT_EQ(generic.signatures_emitted(), expected.size());
+  EXPECT_EQ(stream.samples_seen(), 120u);
+  EXPECT_EQ(stream.signatures_emitted(), expected.size());
 }
 
 TEST(MethodStream, TuncerStreamingMatchesOffline) {
@@ -269,7 +268,6 @@ TEST(MethodStreamRetrain, SyncSwapsInlineAndRecordsLatency) {
   // same-sample emit, so the emits at 20..80 see generations
   // 0, 0, 1, 1, 1, 1, 2.
   EXPECT_EQ(stream.retrain_count(), 2u);
-  EXPECT_EQ(stream.retrain_swaps(), 2u);
   EXPECT_EQ(stream.retrain_aborts(), 0u);
   EXPECT_EQ(probe->started, 2);
   EXPECT_EQ(probe->finished, 2);
@@ -293,7 +291,7 @@ TEST(MethodStreamRetrain, AsyncSwapLandsAtEmitBoundary) {
   // One more emit (sample 50) with the fit still in flight: every
   // signature so far is from the base model and nothing has swapped.
   push_columns(stream, 10, &sigs);
-  EXPECT_EQ(stream.retrain_swaps(), 0u);
+  EXPECT_EQ(stream.retrain_count(), 0u);
   for (const auto& sig : sigs) EXPECT_EQ(sig, std::vector<double>{0.0});
 
   probe->release();
@@ -301,11 +299,10 @@ TEST(MethodStreamRetrain, AsyncSwapLandsAtEmitBoundary) {
   // The worker flips `done` moments after bumping `finished`; keep pushing
   // through emit boundaries (staying below sample 80, the next retrain
   // trigger) until the swap lands.
-  for (int i = 0; i < 25 && stream.retrain_swaps() == 0; ++i) {
+  for (int i = 0; i < 25 && stream.retrain_count() == 0; ++i) {
     push_columns(stream, 1, &sigs);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(stream.retrain_swaps(), 1u);
   EXPECT_EQ(stream.retrain_count(), 1u);
   EXPECT_EQ(stream.retrain_aborts(), 0u);
   EXPECT_EQ(stream.retrain_latency_us().total(), 1u);
@@ -323,16 +320,16 @@ TEST(MethodStreamRetrain, SkipIfBusyLeavesInFlightFitAlone) {
   push_columns(stream, 40);
   EXPECT_EQ(stream.retrain_aborts(), 1u);
   EXPECT_EQ(probe->started, 1);
-  EXPECT_EQ(stream.retrain_swaps(), 0u);
+  EXPECT_EQ(stream.retrain_count(), 0u);
 
   probe->release();
   probe->await(&FitProbe::finished, 1);
   std::vector<std::vector<double>> sigs;
-  for (int i = 0; i < 30 && stream.retrain_swaps() == 0; ++i) {
+  for (int i = 0; i < 30 && stream.retrain_count() == 0; ++i) {
     push_columns(stream, 1, &sigs);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(stream.retrain_swaps(), 1u);
+  EXPECT_EQ(stream.retrain_count(), 1u);
   EXPECT_EQ(stream.retrain_aborts(), 1u);
   ASSERT_FALSE(sigs.empty());
   EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
@@ -355,13 +352,12 @@ TEST(MethodStreamRetrain, AsyncSupersedeCancelsInFlightFit) {
   probe->release();
   probe->await(&FitProbe::finished, 1);
   std::vector<std::vector<double>> sigs;
-  for (int i = 0; i < 30 && stream.retrain_swaps() == 0; ++i) {
+  for (int i = 0; i < 30 && stream.retrain_count() == 0; ++i) {
     push_columns(stream, 1, &sigs);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Exactly one model generation made it in: the superseding fit (refit
   // from the base model, so generation 1).
-  EXPECT_EQ(stream.retrain_swaps(), 1u);
   EXPECT_EQ(stream.retrain_count(), 1u);
   ASSERT_FALSE(sigs.empty());
   EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
@@ -389,7 +385,7 @@ TEST(MethodStreamRetrain, AsyncFitErrorSurfacesOnIngestThread) {
     EXPECT_STREQ(e.what(), "generation: fit failed");
   }
   EXPECT_TRUE(threw);
-  EXPECT_EQ(stream.retrain_swaps(), 0u);
+  EXPECT_EQ(stream.retrain_count(), 0u);
 }
 
 TEST(MethodStreamRetrain, DestructorCancelsInFlightFit) {
@@ -472,6 +468,7 @@ TEST(MethodStreamDrift, RegimeShiftFiresExactlyOneRetrain) {
   // stationary again — never re-triggers.
   EXPECT_EQ(stream.drift_retrains(), 1u);
   EXPECT_EQ(stream.retrain_count(), 1u);
+  EXPECT_EQ(stream.retrain_latency_us().total(), 1u);  // The refit is timed.
   EXPECT_GT(first_retrain_at, shift_at);
   EXPECT_LE(first_retrain_at, shift_at + 100);  // Detection latency bound.
   // Every window after the first is scored; flags at least fill patience.
@@ -559,12 +556,6 @@ TEST(MethodStreamDrift, OptionValidation) {
 // window with the live model, right after a swap included.
 // --------------------------------------------------------------------------
 
-std::shared_ptr<const SignatureMethod> cs_method(const common::Matrix& train_on,
-                                                 const CsOptions& cs) {
-  return std::make_shared<const CsSignatureMethod>(
-      std::make_shared<const CsPipeline>(train(train_on), cs));
-}
-
 // Pushes `data` into `stream` column by column, `rounds` times over, and
 // checks each emitted vector against smooth_window over a reference ring
 // fed the same columns. Returns how many emits were the first after a model
@@ -612,7 +603,6 @@ std::size_t check_cs_emits(MethodStream& stream, const common::Matrix& data,
 
 StreamOptions cs_cache_options(RetrainPolicy policy) {
   StreamOptions opts = stream_options();  // wl=20, ws=10.
-  opts.cs.blocks = 4;                     // 9 sensors: overlapping blocks.
   opts.history_length = 64;
   opts.retrain_policy = policy;
   return opts;
@@ -625,7 +615,8 @@ TEST(MethodStreamCsCache, SyncPeriodicSwapsStayByteIdentical) {
   for (const std::size_t interval : {35u, 3u}) {
     StreamOptions opts = cs_cache_options(RetrainPolicy::kSync);
     opts.retrain_interval = interval;
-    MethodStream stream(cs_method(data.sub_cols(0, 64), opts.cs), opts);
+    MethodStream stream(
+        test_util::cs_method(train(data.sub_cols(0, 64)), kCs), opts);
     EXPECT_GE(check_cs_emits(stream, data), 5u) << "interval " << interval;
   }
 }
@@ -634,16 +625,17 @@ TEST(MethodStreamCsCache, AsyncSwapsStayByteIdentical) {
   const common::Matrix data = wave_matrix(9, 400, 62);
   StreamOptions opts = cs_cache_options(RetrainPolicy::kAsync);
   opts.retrain_interval = 40;
-  opts.cs.real_only = true;
-  MethodStream stream(cs_method(data.sub_cols(0, 64), opts.cs), opts);
+  MethodStream stream(test_util::cs_method(train(data.sub_cols(0, 64)),
+                                           CsOptions{4, true}),
+                      opts);
   EXPECT_GE(check_cs_emits(stream, data, 2, std::chrono::microseconds(200)),
             1u);
 }
 
 TEST(MethodStreamCsCache, DriftRetrainStaysByteIdentical) {
   const common::Matrix data = regime_matrix(6, 600, 300, 51);
-  StreamOptions opts = drift_options();
-  MethodStream stream(cs_method(data.sub_cols(0, 64), opts.cs), opts);
+  MethodStream stream(test_util::cs_method(train(data.sub_cols(0, 64)), kCs),
+                      drift_options());
   EXPECT_GE(check_cs_emits(stream, data), 1u);
   EXPECT_GE(stream.drift_retrains(), 1u);
 }
@@ -655,7 +647,6 @@ TEST(MethodStream, NonRetrainingStreamIgnoresHistoryLength) {
   StreamOptions opts;
   opts.window_length = 60;
   opts.window_step = 10;
-  opts.cs.blocks = 8;
   const auto emit_all = [&](std::shared_ptr<const SignatureMethod> method,
                             std::size_t history) {
     StreamOptions o = opts;
@@ -663,7 +654,8 @@ TEST(MethodStream, NonRetrainingStreamIgnoresHistoryLength) {
     MethodStream stream(std::move(method), o, 12);
     return stream.push_all(data);
   };
-  const auto cs = cs_method(data.sub_cols(0, 200), opts.cs);
+  const auto cs =
+      test_util::cs_method(train(data.sub_cols(0, 200)), CsOptions{8, false});
   const auto bodik = std::make_shared<const baselines::BodikMethod>();
   for (const std::shared_ptr<const SignatureMethod>& method :
        {cs, std::shared_ptr<const SignatureMethod>(bodik)}) {
@@ -698,7 +690,7 @@ TEST(MethodStream, PushAllIsLayoutBlind) {
     SCOPED_TRACE("retrain_interval " + std::to_string(interval));
     StreamOptions opts = cs_cache_options(RetrainPolicy::kSync);
     opts.retrain_interval = interval;
-    const auto method = cs_method(data.sub_cols(0, 64), opts.cs);
+    const auto method = test_util::cs_method(train(data.sub_cols(0, 64)), kCs);
     MethodStream by_matrix(method, opts);
     MethodStream by_view(method, opts);
     MethodStream by_wrapped(method, opts);

@@ -24,6 +24,7 @@
 #include "core/model_pack.hpp"
 #include "core/signature_method.hpp"
 #include "core/training.hpp"
+#include "../cs_method_test_util.hpp"
 
 namespace csm::core {
 namespace {
@@ -43,11 +44,16 @@ StreamOptions soak_options() {
   StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
 }
 
 constexpr std::size_t kSensors = 6;
+
+/// A CS method trained on `seed`'s node data, as every CS node here uses.
+std::shared_ptr<const SignatureMethod> cs_node(std::uint64_t seed) {
+  return test_util::cs_method(train(node_matrix(kSensors, 80, seed)),
+                              CsOptions{4, false});
+}
 constexpr std::size_t kProducerNodes = 4;
 constexpr std::size_t kBatchesPerNode = 24;
 constexpr std::size_t kColsPerBatch = 60;
@@ -81,8 +87,7 @@ TEST(StreamEngineSoak, ConcurrentIngestDrainAndGrowth) {
 
   StreamEngine engine(soak_options());
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
-    engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 500 + i)));
+    engine.add_node("node" + std::to_string(i), cs_node(500 + i));
   }
 
   // Each producer owns a disjoint set of nodes, so per-node ingest order is
@@ -138,8 +143,7 @@ TEST(StreamEngineSoak, ConcurrentIngestDrainAndGrowth) {
   // fed the same batches in the same order, exactly and in order.
   StreamEngine reference(soak_options());
   for (std::size_t node = 0; node < kProducerNodes; ++node) {
-    reference.add_node("ref" + std::to_string(node),
-                       train(node_matrix(kSensors, 80, 500 + node)));
+    reference.add_node("ref" + std::to_string(node), cs_node(500 + node));
     for (const common::Matrix& batch : batches_for(node)) {
       reference.ingest(node, batch);
     }
@@ -173,8 +177,7 @@ TEST(StreamEngineSoak, IngestBatchRacesDrain) {
   StreamEngine engine(soak_options());
   std::vector<common::Matrix> batches;
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
-    engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 300 + i)));
+    engine.add_node("node" + std::to_string(i), cs_node(300 + i));
     batches.push_back(node_matrix(kSensors, 100, 400 + i));
   }
 
@@ -231,8 +234,7 @@ constexpr std::size_t kRetrainTriggers =
 TEST(StreamEngineSoak, SyncRetrainRacesBitIdenticalToReference) {
   StreamEngine engine(retrain_soak_options(RetrainPolicy::kSync));
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
-    engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 500 + i)));
+    engine.add_node("node" + std::to_string(i), cs_node(500 + i));
   }
 
   std::atomic<std::size_t> producers_done{0};
@@ -267,8 +269,7 @@ TEST(StreamEngineSoak, SyncRetrainRacesBitIdenticalToReference) {
 
   StreamEngine reference(retrain_soak_options(RetrainPolicy::kSync));
   for (std::size_t node = 0; node < kProducerNodes; ++node) {
-    reference.add_node("ref" + std::to_string(node),
-                       train(node_matrix(kSensors, 80, 500 + node)));
+    reference.add_node("ref" + std::to_string(node), cs_node(500 + node));
     for (const common::Matrix& batch : batches_for(node)) {
       reference.ingest(node, batch);
     }
@@ -293,8 +294,7 @@ TEST(StreamEngineSoak, SyncRetrainRacesBitIdenticalToReference) {
 TEST(StreamEngineSoak, AsyncRetrainRacesIngestDrainAndGrowth) {
   StreamEngine engine(retrain_soak_options(RetrainPolicy::kAsync));
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
-    engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 500 + i)));
+    engine.add_node("node" + std::to_string(i), cs_node(500 + i));
   }
 
   std::atomic<std::size_t> producers_done{0};
@@ -327,8 +327,7 @@ TEST(StreamEngineSoak, AsyncRetrainRacesIngestDrainAndGrowth) {
   });
   // Grower: the fleet expands while shadow fits are in flight elsewhere.
   threads.emplace_back([&engine] {
-    const std::size_t node =
-        engine.add_node("late", train(node_matrix(kSensors, 80, 8100)));
+    const std::size_t node = engine.add_node("late", cs_node(8100));
     engine.ingest(node, node_matrix(kSensors, 200, 8200));
   });
   for (std::thread& t : threads) t.join();

@@ -10,6 +10,7 @@
 #include "common/matrix_view.hpp"
 #include "common/rng.hpp"
 #include "core/training.hpp"
+#include "../cs_method_test_util.hpp"
 
 namespace csm::core {
 namespace {
@@ -31,11 +32,14 @@ StreamOptions engine_options() {
   StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
 }
 
-TEST(StreamEngine, MatchesPerNodeCsStreams) {
+constexpr CsOptions kCs{4, false};
+
+using test_util::cs_method;
+
+TEST(StreamEngine, MatchesPerNodeMethodStreams) {
   const std::size_t n_nodes = 4;
   StreamEngine engine(engine_options());
   std::vector<common::Matrix> batches;
@@ -45,18 +49,17 @@ TEST(StreamEngine, MatchesPerNodeCsStreams) {
     models.push_back(train(batches.back()));
     std::string name = "node";  // GCC 12 -Wrestrict trips on operator+.
     name += std::to_string(i);
-    engine.add_node(std::move(name), models.back());
+    engine.add_node(std::move(name), cs_method(models.back(), kCs));
   }
   engine.ingest_batch(batches);
 
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    CsStream reference(models[i], engine_options());
+    MethodStream reference(cs_method(models[i], kCs), engine_options());
     const auto expected = reference.push_all(batches[i]);
     const auto got = engine.drain(i);
     ASSERT_EQ(got.size(), expected.size()) << "node " << i;
     for (std::size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k], expected[k].flatten()) << "node " << i
-                                               << " signature " << k;
+      EXPECT_EQ(got[k], expected[k]) << "node " << i << " signature " << k;
     }
   }
 }
@@ -64,7 +67,7 @@ TEST(StreamEngine, MatchesPerNodeCsStreams) {
 TEST(StreamEngine, QueuesAccumulateAcrossBatchesAndDrainEmpties) {
   StreamEngine engine(engine_options());
   const common::Matrix s = node_matrix(5, 120, 7);
-  engine.add_node("n0", train(s));
+  engine.add_node("n0", cs_method(train(s), kCs));
 
   engine.ingest(0, s.sub_cols(0, 60));   // Windows at 20, 30, ..., 60 -> 5.
   EXPECT_EQ(engine.pending(0), 5u);
@@ -76,12 +79,8 @@ TEST(StreamEngine, QueuesAccumulateAcrossBatchesAndDrainEmpties) {
   EXPECT_EQ(engine.pending(0), 0u);
 
   // Equivalent to one uninterrupted stream over the same columns.
-  CsStream reference(train(s), engine_options());
-  const auto expected = reference.push_all(s);
-  ASSERT_EQ(sigs.size(), expected.size());
-  for (std::size_t k = 0; k < sigs.size(); ++k) {
-    EXPECT_EQ(sigs[k], expected[k].flatten());
-  }
+  MethodStream reference(cs_method(train(s), kCs), engine_options());
+  EXPECT_EQ(sigs, reference.push_all(s));
 }
 
 TEST(StreamEngine, AggregateStats) {
@@ -91,7 +90,7 @@ TEST(StreamEngine, AggregateStats) {
     batches.push_back(node_matrix(4, 50, 200 + i));
     std::string name = "n";
     name += std::to_string(i);
-    engine.add_node(std::move(name), train(batches.back()));
+    engine.add_node(std::move(name), cs_method(train(batches.back()), kCs));
   }
   engine.ingest_batch(batches);
   const EngineStats stats = engine.stats();
@@ -109,7 +108,9 @@ TEST(StreamEngine, HeterogeneousNodesAndBatchLengths) {
   std::vector<common::Matrix> batches;
   batches.push_back(node_matrix(4, 40, 1));
   batches.push_back(node_matrix(9, 65, 2));
-  for (const auto& b : batches) engine.add_node("n", train(b));
+  for (const auto& b : batches) {
+    engine.add_node("n", cs_method(train(b), kCs));
+  }
   engine.ingest_batch(batches);
   EXPECT_EQ(engine.stream(0).samples_seen(), 40u);
   EXPECT_EQ(engine.stream(1).samples_seen(), 65u);
@@ -123,7 +124,7 @@ TEST(StreamEngine, MixedMethodFleet) {
   StreamEngine engine(engine_options());
   const common::Matrix cs_data = node_matrix(4, 60, 11);
   const common::Matrix tn_data = node_matrix(3, 60, 12);
-  engine.add_node("cs-node", train(cs_data));
+  engine.add_node("cs-node", cs_method(train(cs_data), kCs));
   engine.add_node("tuncer-node",
                   std::make_shared<const baselines::TuncerMethod>(),
                   tn_data.rows());
@@ -148,8 +149,8 @@ TEST(StreamEngine, IngestOfAColumnMajorViewMatchesItsMatrix) {
   const CsModel model = train(data);
   StreamEngine by_matrix(engine_options());
   StreamEngine by_view(engine_options());
-  by_matrix.add_node("n", model);
-  by_view.add_node("n", model);
+  by_matrix.add_node("n", cs_method(model, kCs));
+  by_view.add_node("n", cs_method(model, kCs));
   std::vector<double> colmajor;
   for (std::size_t c = 0; c < data.cols(); ++c) {
     for (std::size_t r = 0; r < data.rows(); ++r) {
@@ -171,7 +172,7 @@ TEST(StreamEngine, IngestOfAColumnMajorViewMatchesItsMatrix) {
 
 TEST(StreamEngine, IngestBatchValidation) {
   StreamEngine engine(engine_options());
-  engine.add_node("n0", train(node_matrix(4, 40, 3)));
+  engine.add_node("n0", cs_method(train(node_matrix(4, 40, 3)), kCs));
   std::vector<common::Matrix> wrong_count;
   EXPECT_THROW(engine.ingest_batch(wrong_count), std::invalid_argument);
   std::vector<common::Matrix> wrong_rows{node_matrix(5, 30, 4)};
@@ -193,7 +194,7 @@ TEST(StreamEngine, RetrainsPropagateToStats) {
   opts.history_length = 64;
   StreamEngine engine(opts);
   const common::Matrix s = node_matrix(4, 200, 9);
-  engine.add_node("n0", train(s.sub_cols(0, 30)));
+  engine.add_node("n0", cs_method(train(s.sub_cols(0, 30)), kCs));
   engine.ingest(0, s);
   EXPECT_EQ(engine.stats().retrains, 4u);  // At samples 50/100/150/200.
 }
@@ -202,8 +203,8 @@ TEST(StreamEngine, RemoveNodeTombstonesTheSlot) {
   StreamEngine engine(engine_options());
   const common::Matrix a = node_matrix(4, 60, 21);
   const common::Matrix b = node_matrix(4, 60, 22);
-  engine.add_node("a", train(a));
-  engine.add_node("b", train(b));
+  engine.add_node("a", cs_method(train(a), kCs));
+  engine.add_node("b", cs_method(train(b), kCs));
   engine.ingest(0, a);
   engine.ingest(1, b);
 
@@ -223,13 +224,13 @@ TEST(StreamEngine, RemoveNodeTombstonesTheSlot) {
   EXPECT_EQ(engine.drain(1).size(), 5u);
 
   // A new node reuses no index: slots are append-only.
-  EXPECT_EQ(engine.add_node("c", train(a)), 2u);
+  EXPECT_EQ(engine.add_node("c", cs_method(train(a), kCs)), 2u);
 }
 
 TEST(StreamEngine, RemovedNodeCountersStayInStats) {
   StreamEngine engine(engine_options());
   const common::Matrix s = node_matrix(4, 60, 23);
-  engine.add_node("gone", train(s));
+  engine.add_node("gone", cs_method(train(s), kCs));
   engine.ingest(0, s);
   const EngineStats before = engine.stats();
   EXPECT_EQ(before.nodes, 1u);
@@ -251,8 +252,8 @@ TEST(StreamEngine, IngestBatchSkipsTombstonesWithEmptyPlaceholder) {
   StreamEngine engine(engine_options());
   const common::Matrix a = node_matrix(4, 60, 24);
   const common::Matrix b = node_matrix(4, 60, 25);
-  engine.add_node("a", train(a));
-  engine.add_node("b", train(b));
+  engine.add_node("a", cs_method(train(a), kCs));
+  engine.add_node("b", cs_method(train(b), kCs));
   engine.remove_node(0);
 
   // The batch still has one slot per index; the tombstone's must be empty.
@@ -269,7 +270,7 @@ TEST(StreamEngine, MaxPendingDropsOldestAndCounts) {
   opts.max_pending = 3;
   StreamEngine engine(opts);
   const common::Matrix s = node_matrix(4, 120, 26);
-  engine.add_node("n0", train(s));
+  engine.add_node("n0", cs_method(train(s), kCs));
   engine.ingest(0, s);  // Emits 11 signatures; the queue keeps 3.
 
   EXPECT_EQ(engine.pending(0), 3u);
@@ -279,7 +280,7 @@ TEST(StreamEngine, MaxPendingDropsOldestAndCounts) {
   // Drop-oldest: what survives is the TAIL of the full sequence.
   StreamOptions unbounded = engine_options();
   StreamEngine reference(unbounded);
-  reference.add_node("n0", train(s));
+  reference.add_node("n0", cs_method(train(s), kCs));
   reference.ingest(0, s);
   const auto all = reference.drain(0);
   const auto kept = engine.drain(0);
@@ -297,8 +298,8 @@ TEST(StreamEngine, MaxPendingDropsOldestAndCounts) {
 TEST(StreamEngine, LatencyHistogramCountsIngestCalls) {
   StreamEngine engine(engine_options());
   const common::Matrix s = node_matrix(4, 60, 27);
-  engine.add_node("a", train(s));
-  engine.add_node("b", train(s));
+  engine.add_node("a", cs_method(train(s), kCs));
+  engine.add_node("b", cs_method(train(s), kCs));
   engine.ingest(0, s.sub_cols(0, 30));
   engine.ingest(0, s.sub_cols(30, 30));
   engine.ingest(1, s);
@@ -317,8 +318,8 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
   StreamEngine engine(engine_options());
   const common::Matrix data0 = node_matrix(6, 90, 300);
   const common::Matrix data1 = node_matrix(6, 90, 301);
-  const std::size_t a = engine.add_node("a", train(data0));
-  const std::size_t b = engine.add_node("b", train(data1));
+  const std::size_t a = engine.add_node("a", cs_method(train(data0), kCs));
+  const std::size_t b = engine.add_node("b", cs_method(train(data1), kCs));
 
   std::vector<std::pair<std::size_t, common::Matrix>> seen;
   engine.set_tap(
@@ -353,8 +354,8 @@ TEST(StreamEngine, TapDoesNotPerturbSignatures) {
 
   StreamEngine tapped(engine_options());
   StreamEngine untapped(engine_options());
-  tapped.add_node("n", model);
-  untapped.add_node("n", model);
+  tapped.add_node("n", cs_method(model, kCs));
+  untapped.add_node("n", cs_method(model, kCs));
   std::size_t calls = 0;
   tapped.set_tap(
       [&calls](std::size_t, const common::MatrixView&) { ++calls; });

@@ -2,6 +2,7 @@
 // assert the library's structural invariants rather than specific values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -25,6 +26,7 @@
 #include "stats/divergence.hpp"
 #include "stats/interpolate.hpp"
 #include "stats/normalize.hpp"
+#include "../cs_method_test_util.hpp"
 
 namespace csm {
 namespace {
@@ -221,8 +223,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4, 5, 8, 10, 13)));
 
 // ---------------------------------------------------------------------------
-// Streaming equivalence: with retraining disabled, a CsStream must produce
-// bit-for-bit the same signatures as the offline pipeline over the same
+// Streaming equivalence: with retraining disabled, a CS MethodStream must
+// produce bit-for-bit the same signatures as the offline pipeline over the same
 // data, for any history length — including ones small enough that the ring
 // buffer wraps many times mid-stream.
 
@@ -236,24 +238,25 @@ TEST_P(StreamEquivalenceProperty, StreamMatchesOfflinePipeline) {
   const common::Matrix s = random_matrix(n, t, seed);
   const core::CsModel model = core::train(s);
 
+  const core::CsOptions cs{5, false};
+
   core::StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 7;
-  opts.cs.blocks = 5;
   opts.history_length = history;  // retrain_interval stays 0.
-  core::CsStream stream(model, opts);
+  core::MethodStream stream(test_util::cs_method(model, cs), opts);
   const auto streamed = stream.push_all(s);
 
-  const core::CsPipeline pipeline(model, opts.cs);
+  const core::CsPipeline pipeline(model, cs);
   const auto offline = pipeline.transform(
       s, data::WindowSpec{opts.window_length, opts.window_step});
   ASSERT_EQ(streamed.size(), offline.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) {
-    for (std::size_t b = 0; b < streamed[i].length(); ++b) {
-      EXPECT_NEAR(streamed[i].real()[b], offline[i].real()[b], 1e-12)
-          << "signature " << i << " block " << b;
-      EXPECT_NEAR(streamed[i].imag()[b], offline[i].imag()[b], 1e-12)
-          << "signature " << i << " block " << b;
+    const std::vector<double> want = offline[i].flatten();
+    ASSERT_EQ(streamed[i].size(), want.size());
+    for (std::size_t f = 0; f < want.size(); ++f) {
+      EXPECT_NEAR(streamed[i][f], want[f], 1e-12)
+          << "signature " << i << " feature " << f;
     }
   }
 }
@@ -301,11 +304,11 @@ TEST_P(ViewVsCopyStreamProperty, ViewPathIsByteIdenticalToCopyPath) {
   const auto viewed = view_stream.push_all(live);
 
   // Seed copy-based reference: ring ingest, copy_latest window assembly,
-  // n x 1 seed matrix, thin Matrix compute_streaming overload.
+  // the seed column copied out of the ring into its own vector.
   std::vector<std::vector<double>> copied;
   common::RingMatrix ring(n, history);
   common::Matrix window(n, wl);
-  common::Matrix seed_col(n, 1);
+  std::vector<double> seed_col(n);
   std::size_t next_emit_at = wl;
   for (std::size_t c = 0; c < live.cols(); ++c) {
     std::vector<double> column(n);
@@ -316,8 +319,9 @@ TEST_P(ViewVsCopyStreamProperty, ViewPathIsByteIdenticalToCopyPath) {
     ring.copy_latest(wl, window);
     if (ring.size() > wl) {
       const std::span<const double> prev = ring.newest(wl);
-      for (std::size_t r = 0; r < n; ++r) seed_col(r, 0) = prev[r];
-      copied.push_back(method->compute_streaming(window, &seed_col));
+      std::copy(prev.begin(), prev.end(), seed_col.begin());
+      const std::span<const double> seed = seed_col;
+      copied.push_back(method->compute_streaming(window, &seed));
     } else {
       copied.push_back(method->compute_streaming(window, nullptr));
     }

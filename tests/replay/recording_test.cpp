@@ -15,6 +15,7 @@
 #include "core/stream_engine.hpp"
 #include "core/training.hpp"
 #include "replay/engine_recorder.hpp"
+#include "../cs_method_test_util.hpp"
 
 namespace csm::replay {
 namespace {
@@ -337,9 +338,12 @@ TEST(EngineRecorder, CapturesEngineIngestExactly) {
   }
 
   EngineRecorder recorder(file);
-  const std::size_t a = engine.add_node("alpha", core::train(train_a));
+  const core::CsOptions cs{0, false};
+  const std::size_t a =
+      engine.add_node("alpha", test_util::cs_method(core::train(train_a), cs));
   recorder.on_node_add(a, "alpha", 3);
-  const std::size_t b = engine.add_node("beta", core::train(train_b));
+  const std::size_t b =
+      engine.add_node("beta", test_util::cs_method(core::train(train_b), cs));
   recorder.on_node_add(b, "beta", 2);
   engine.set_tap(
       [&recorder](std::size_t node, const common::MatrixView& cols) {

@@ -126,6 +126,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -454,8 +455,9 @@ int write_window_features(const core::SignatureMethod& method,
     // derivative channels match the legacy full-matrix transform (and the
     // streaming path) instead of resetting at every window boundary.
     if (start > 0) {
-      const common::Matrix prev = sensors.sub_cols(start - 1, 1);
-      ds.features.append_row(method.compute_streaming(window, &prev));
+      const std::vector<double> prev = sensors.col(start - 1);
+      const std::span<const double> seed = prev;
+      ds.features.append_row(method.compute_streaming(window, &seed));
     } else {
       ds.features.append_row(method.compute_streaming(window, nullptr));
     }
@@ -748,8 +750,6 @@ int cmd_stream(const Options& opts) {
   core::StreamOptions stream_opts;
   stream_opts.window_length = opts.window_set ? opts.window : seg.window.length;
   stream_opts.window_step = opts.step_set ? opts.step : seg.window.step;
-  stream_opts.cs.blocks = opts.blocks;
-  stream_opts.cs.real_only = opts.real_only;
   stream_opts.history_length = opts.history;
   apply_retrain_flags(opts, stream_opts);
 
@@ -899,8 +899,6 @@ int cmd_replay(const Options& opts) {
   core::StreamOptions stream_opts;
   stream_opts.window_length = opts.window;
   stream_opts.window_step = opts.step;
-  stream_opts.cs.blocks = opts.blocks;
-  stream_opts.cs.real_only = opts.real_only;
   stream_opts.history_length = opts.history;
   apply_retrain_flags(opts, stream_opts);
 
