@@ -4,7 +4,9 @@
 //   1. Reassembly fixpoint — feeding the same bytes in fuzzer-chosen chunk
 //      sizes must yield the identical frame sequence (and the identical
 //      FrameError, if any) as one whole-buffer feed. A reader whose output
-//      depends on read boundaries corrupts streams on a real socket.
+//      depends on read boundaries corrupts streams on a real socket. The
+//      same holds for a reader read into directly (prepare/commit, as
+//      csmd's server does) whose frames are taken as in-place views.
 //   2. Re-encode identity — every accepted frame must encode back to
 //      exactly the bytes it was decoded from, so the consumed prefix of
 //      the input is reproduced bit-for-bit.
@@ -55,6 +57,39 @@ ParseResult parse(csm::net::FrameReader& reader,
   return result;
 }
 
+// The server's path: each read lands straight in the reader's buffer
+// (prepare, then commit of a possibly shorter count), and frames are copied
+// out of next_view().
+ParseResult parse_in_place(csm::net::FrameReader& reader,
+                           std::span<const std::uint8_t> bytes,
+                           std::size_t read_seed) {
+  ParseResult result;
+  std::size_t at = 0;
+  std::uint64_t state = read_seed * 0x9E3779B97F4A7C15ULL + 7;
+  try {
+    while (at < bytes.size()) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::size_t room = 1 + (state >> 33) % 97;
+      const std::size_t got =
+          std::min({room - (state >> 20) % room, bytes.size() - at});
+      const std::span<std::uint8_t> into = reader.prepare(room);
+      std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(at), got,
+                  into.begin());
+      reader.commit(got);
+      at += got;
+      while (std::optional<csm::net::FrameView> view = reader.next_view()) {
+        result.frames.push_back(
+            {view->type, std::string(view->node),
+             {view->payload.begin(), view->payload.end()}});
+      }
+    }
+  } catch (const csm::net::FrameError& e) {
+    result.error = e.what();
+  }
+  result.consumed = reader.stream_offset();
+  return result;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -78,6 +113,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   csm::fuzz::require(whole.consumed == chunked.consumed,
                      "chunked feed consumed a different byte count");
+
+  csm::net::FrameReader direct;
+  const ParseResult in_place =
+      parse_in_place(direct, bytes, size == 0 ? 1 : 1 + data[size - 1]);
+  csm::fuzz::require(whole.frames == in_place.frames,
+                     "prepare/commit reads decoded a different frame sequence");
+  csm::fuzz::require(whole.error == in_place.error,
+                     "prepare/commit reads reported a different FrameError");
+  csm::fuzz::require(whole.consumed == in_place.consumed,
+                     "prepare/commit reads consumed a different byte count");
 
   // Accepted frames must re-encode to exactly the consumed input prefix.
   std::vector<std::uint8_t> reencoded;

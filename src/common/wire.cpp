@@ -10,34 +10,56 @@
 
 namespace csm::common::wire {
 
-void append_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+namespace {
+
+// One block insert of v's little-endian bytes.
+template <typename T>
+void append_le(std::vector<std::uint8_t>& out, T v) {
+  std::uint8_t bytes[sizeof(T)];
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
   }
+  out.insert(out.end(), bytes, bytes + sizeof(T));
+}
+
+}  // namespace
+
+void append_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  append_le(out, v);
 }
 
 void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  append_le(out, v);
 }
 
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  append_le(out, v);
+}
+
+void append_f64s(std::vector<std::uint8_t>& out,
+                 std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
+    out.insert(out.end(), bytes, bytes + values.size_bytes());
+  } else {
+    for (const double v : values) append_f64(out, v);
   }
 }
 
 void append_f64_columns(std::vector<std::uint8_t>& out, const MatrixView& m) {
+  for (std::size_t k = 0; k < m.n_col_segments(); ++k) {
+    const MatrixView::ColSegment seg = m.col_segment(k);
+    append_f64s(out, {seg.data, seg.n_cols * m.rows()});
+  }
+  if (m.contiguous_cols()) return;
   std::vector<double> col(m.rows());
   for (std::size_t c = 0; c < m.cols(); ++c) {
     m.copy_col(c, col);
-    if constexpr (std::endian::native == std::endian::little) {
-      const auto* bytes = reinterpret_cast<const std::uint8_t*>(col.data());
-      out.insert(out.end(), bytes, bytes + col.size() * sizeof(double));
-    } else {
-      for (const double v : col) append_f64(out, v);
-    }
+    append_f64s(out, col);
   }
 }
 

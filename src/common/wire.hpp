@@ -28,9 +28,15 @@ inline void append_f64(std::vector<std::uint8_t>& out, double v) {
   append_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+/// Appends every value of `values` as append_f64 would: the bulk
+/// counterpart of load_f64s, one block copy on a little-endian host.
+void append_f64s(std::vector<std::uint8_t>& out,
+                 std::span<const double> values);
+
 /// Appends every value of `m` as append_f64 would, column after column:
-/// the sample layout of kSampleBatch payloads and CSMR batches. On a
-/// little-endian host each column is one block copy.
+/// the sample layout of kSampleBatch payloads and CSMR batches. Column
+/// segments append as they lie (one block copy each on a little-endian
+/// host); only row-major views gather a column at a time.
 void append_f64_columns(std::vector<std::uint8_t>& out, const MatrixView& m);
 
 /// Reads out.size() f64s stored as append_f64 writes them; the caller

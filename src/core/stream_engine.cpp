@@ -11,25 +11,21 @@
 
 namespace csm::core {
 
-StreamEngine::Node& StreamEngine::node_at(std::size_t node, bool live) const {
+StreamEngine::Node& StreamEngine::node_at(std::size_t node) const {
   std::shared_lock lock(nodes_mutex_);
   if (node >= nodes_.size()) {
     throw std::out_of_range("StreamEngine: node index " +
                             std::to_string(node) + " out of range (fleet has " +
                             std::to_string(nodes_.size()) + " nodes)");
   }
-  Node& n = *nodes_[node];
-  if (live) {
-    // The removed check needs the node mutex (remove_node resets the
-    // stream under it); take it briefly so a racing removal is seen.
-    std::lock_guard node_lock(n.mutex);
-    if (!n.stream.has_value()) {
-      throw std::invalid_argument("StreamEngine: node " +
-                                  std::to_string(node) + " (\"" + n.name +
-                                  "\") has been removed");
-    }
+  return *nodes_[node];
+}
+
+void StreamEngine::require_live(std::size_t index, const Node& n) {
+  if (!n.stream.has_value()) {
+    throw std::invalid_argument("StreamEngine: node " + std::to_string(index) +
+                                " (\"" + n.name + "\") has been removed");
   }
-  return n;
 }
 
 void StreamEngine::add_ingest_seconds(double seconds) noexcept {
@@ -55,14 +51,10 @@ void StreamEngine::enqueue(Node& n, std::vector<std::vector<double>>&& sigs) {
 
 void StreamEngine::ingest_locked(std::size_t index, Node& n,
                                  const common::MatrixView& columns) {
-  // Caller holds n.mutex. The timer covers processing only (push_all +
-  // queue append), not lock wait — that is the per-call ingest latency the
-  // histogram records.
+  // Caller holds n.mutex and has checked the node is live. The timer
+  // covers processing only (push_all + queue append), not lock wait — that
+  // is the per-call ingest latency the histogram records.
   const common::Timer timer;
-  if (!n.stream.has_value()) {
-    throw std::invalid_argument("StreamEngine: node \"" + n.name +
-                                "\" has been removed");
-  }
   enqueue(n, n.stream->push_all(columns));
   const double seconds = timer.seconds();
   n.latency_us.add(seconds * 1e6);
@@ -110,11 +102,14 @@ std::size_t StreamEngine::n_nodes() const noexcept {
 }
 
 const std::string& StreamEngine::node_name(std::size_t node) const {
-  return node_at(node, /*live=*/false).name;
+  return node_at(node).name;
 }
 
 const MethodStream& StreamEngine::stream(std::size_t node) const {
-  return *node_at(node).stream;
+  Node& n = node_at(node);
+  std::lock_guard node_lock(n.mutex);
+  require_live(node, n);
+  return *n.stream;
 }
 
 bool StreamEngine::alive(std::size_t node) const noexcept {
@@ -137,10 +132,7 @@ std::vector<std::vector<double>> StreamEngine::remove_node(std::size_t node) {
   }
   Node& n = *nodes_[node];
   std::lock_guard node_lock(n.mutex);
-  if (!n.stream.has_value()) {
-    throw std::invalid_argument("StreamEngine: node " + std::to_string(node) +
-                                " (\"" + n.name + "\") has been removed");
-  }
+  require_live(node, n);
   retired_.samples += n.stream->samples_seen();
   retired_.signatures += n.stream->signatures_emitted();
   retired_.retrains += n.stream->retrain_count();
@@ -162,8 +154,11 @@ std::vector<std::vector<double>> StreamEngine::remove_node(std::size_t node) {
 
 void StreamEngine::ingest(std::size_t node,
                           const common::MatrixView& columns) {
+  // One node lock per call: the live check and the ingest must see the
+  // same stream, or a racing remove_node lands between them.
   Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
+  require_live(node, n);
   ingest_locked(node, n, columns);
 }
 
@@ -212,12 +207,14 @@ void StreamEngine::ingest_batch(std::span<const common::Matrix> batches) {
 std::size_t StreamEngine::pending(std::size_t node) const {
   Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
+  require_live(node, n);
   return n.queue.size();
 }
 
 std::vector<std::vector<double>> StreamEngine::drain(std::size_t node) {
   Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
+  require_live(node, n);
   std::vector<std::vector<double>> out(
       std::make_move_iterator(n.queue.begin()),
       std::make_move_iterator(n.queue.end()));
@@ -226,13 +223,13 @@ std::vector<std::vector<double>> StreamEngine::drain(std::size_t node) {
 }
 
 std::uint64_t StreamEngine::dropped(std::size_t node) const {
-  Node& n = node_at(node, /*live=*/false);
+  Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
   return n.dropped;
 }
 
 stats::Histogram StreamEngine::latency_histogram(std::size_t node) const {
-  Node& n = node_at(node, /*live=*/false);
+  Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
   return n.latency_us;
 }

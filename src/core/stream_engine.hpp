@@ -269,14 +269,18 @@ class StreamEngine {
   };
 
   /// Looks a node up under the table lock; throws std::out_of_range for a
-  /// bad index. `live` additionally rejects removed slots with
-  /// std::invalid_argument naming the node.
-  Node& node_at(std::size_t node, bool live = true) const;
+  /// bad index. Removed slots are returned too: callers that need a live
+  /// stream take the node mutex and then call require_live, so the check
+  /// and the use happen under one lock.
+  Node& node_at(std::size_t node) const;
+  /// Throws std::invalid_argument naming node `index` when it has been
+  /// removed. Caller holds n.mutex.
+  static void require_live(std::size_t index, const Node& n);
   void add_ingest_seconds(double seconds) noexcept;
   /// Appends signatures to a node's queue and applies the max_pending
   /// drop-oldest policy. Caller holds the node mutex.
   void enqueue(Node& n, std::vector<std::vector<double>>&& sigs);
-  /// Runs one node's ingest under its mutex and records its latency;
+  /// Runs one live node's ingest under its mutex and records its latency;
   /// `index` is the node's table index (the tap reports it).
   void ingest_locked(std::size_t index, Node& n,
                      const common::MatrixView& columns);

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <utility>
 
 #include "common/wire.hpp"
 
@@ -62,58 +61,76 @@ const char* frame_type_name(FrameType type) noexcept {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  if (!is_known_frame_type(static_cast<std::uint8_t>(frame.type))) {
-    throw std::invalid_argument("encode_frame: unknown frame type " +
-                                std::to_string(static_cast<unsigned>(
-                                    frame.type)));
-  }
-  if (frame.node.size() > kMaxNodeIdBytes) {
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::string_view node,
+                  std::span<const std::uint8_t> payload) {
+  if (!is_known_frame_type(static_cast<std::uint8_t>(type))) {
     throw std::invalid_argument(
-        "encode_frame: node id of " + std::to_string(frame.node.size()) +
+        "append_frame: unknown frame type " +
+        std::to_string(static_cast<unsigned>(type)));
+  }
+  if (node.size() > kMaxNodeIdBytes) {
+    throw std::invalid_argument(
+        "append_frame: node id of " + std::to_string(node.size()) +
         " bytes exceeds the cap of " + std::to_string(kMaxNodeIdBytes));
   }
-  if (frame.payload.size() > kMaxFramePayload) {
+  if (payload.size() > kMaxFramePayload) {
     throw std::invalid_argument(
-        "encode_frame: payload of " + std::to_string(frame.payload.size()) +
+        "append_frame: payload of " + std::to_string(payload.size()) +
         " bytes exceeds the cap of " + std::to_string(kMaxFramePayload));
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderSize + frame.node.size() + frame.payload.size() +
-              kFrameTrailerSize);
+  // Appends grow `out` geometrically, never to the exact size: an exact
+  // reserve here would reallocate on every append.
+  const std::size_t at = out.size();
   // Element-wise instead of a range insert: GCC 12 misdiagnoses inserting
   // a constexpr array as a stringop-overflow under -Werror.
   for (std::uint8_t b : kFrameMagic) out.push_back(b);
   out.push_back(kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(frame.type));
-  append_u16(out, static_cast<std::uint16_t>(frame.node.size()));
-  append_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.insert(out.end(), frame.node.begin(), frame.node.end());
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  append_u32(out, crc32(out));
+  out.push_back(static_cast<std::uint8_t>(type));
+  append_u16(out, static_cast<std::uint16_t>(node.size()));
+  append_u32(out, static_cast<std::uint32_t>(payload.size()));
+  out.insert(out.end(), node.begin(), node.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  append_u32(out, crc32({out.data() + at, out.size() - at}));
+}
+
+std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+  std::vector<std::uint8_t> out;
+  // A fresh buffer: one exact allocation, then append_frame fills it.
+  out.reserve(kFrameHeaderSize + frame.node.size() + frame.payload.size() +
+              kFrameTrailerSize);
+  append_frame(out, frame.type, frame.node, frame.payload);
   return out;
 }
 
-void FrameWriter::write(const Frame& frame) {
-  const std::vector<std::uint8_t> encoded = encode_frame(frame);
-  buf_.insert(buf_.end(), encoded.begin(), encoded.end());
-}
-
-std::vector<std::uint8_t> FrameWriter::take() noexcept {
-  return std::exchange(buf_, {});
-}
-
 void FrameReader::feed(std::span<const std::uint8_t> bytes) {
+  const std::span<std::uint8_t> room = prepare(bytes.size());
+  if (!bytes.empty()) std::memcpy(room.data(), bytes.data(), bytes.size());
+  commit(bytes.size());
+}
+
+std::span<std::uint8_t> FrameReader::prepare(std::size_t n) {
   // Compact the consumed prefix before growing: the buffer then never
   // holds more than one partial frame plus the new chunk.
-  if (head_ > 0 && head_ == buf_.size()) {
-    buf_.clear();
-    head_ = 0;
+  if (head_ == end_) {
+    head_ = end_ = 0;
   } else if (head_ > kFrameHeaderSize + kMaxNodeIdBytes) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+    std::memmove(buf_.data(), buf_.data() + head_, end_ - head_);
+    end_ -= head_;
     head_ = 0;
   }
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  if (buf_.size() - end_ < n) buf_.resize(end_ + n);
+  return std::span(buf_).subspan(end_, n);
+}
+
+void FrameReader::commit(std::size_t n) {
+  if (n > buf_.size() - end_) {
+    throw std::invalid_argument(
+        "FrameReader::commit: " + std::to_string(n) +
+        " bytes exceed the " + std::to_string(buf_.size() - end_) +
+        " prepared");
+  }
+  end_ += n;
 }
 
 void FrameReader::fail(const std::string& field, std::uint64_t rel_offset,
@@ -123,7 +140,7 @@ void FrameReader::fail(const std::string& field, std::uint64_t rel_offset,
                    detail);
 }
 
-std::optional<Frame> FrameReader::next() {
+std::optional<FrameView> FrameReader::next_view() {
   const std::uint8_t* p = buf_.data() + head_;
   const std::uint64_t have = buffered();
 
@@ -181,15 +198,22 @@ std::optional<Frame> FrameReader::next() {
          "stored " + hex(stored, 8) + " != computed " + hex(computed, 8));
   }
 
-  Frame frame;
+  FrameView frame;
   frame.type = static_cast<FrameType>(p[5]);
-  frame.node.assign(reinterpret_cast<const char*>(p + kFrameHeaderSize),
-                    static_cast<std::size_t>(id_len));
-  const std::uint8_t* payload = p + kFrameHeaderSize + id_len;
-  frame.payload.assign(payload, payload + payload_len);
+  frame.node = {reinterpret_cast<const char*>(p + kFrameHeaderSize),
+                static_cast<std::size_t>(id_len)};
+  frame.payload = {p + kFrameHeaderSize + id_len,
+                   static_cast<std::size_t>(payload_len)};
   head_ += static_cast<std::size_t>(total);
   stream_offset_ += total;
   return frame;
+}
+
+std::optional<Frame> FrameReader::next() {
+  const std::optional<FrameView> view = next_view();
+  if (!view) return std::nullopt;
+  return Frame{view->type, std::string(view->node),
+               {view->payload.begin(), view->payload.end()}};
 }
 
 }  // namespace csm::net

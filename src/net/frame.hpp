@@ -14,17 +14,22 @@
 //   12+id    pay_len    payload (see net/message.hpp for the schemas)
 //     ...     4        u32 CRC32 over every preceding byte of the frame
 //
-// FrameWriter renders frames into a byte buffer; FrameReader incrementally
-// reassembles them from arbitrary read boundaries — a transport may deliver
-// half a header, three frames at once, or one byte at a time, and the
-// reader produces the identical frame sequence regardless. Corrupt input
-// (bad magic/version/type, an id or payload length beyond its cap, a CRC
-// mismatch) throws FrameError naming the offending field and the absolute
-// stream offset; after a FrameError the byte stream is desynchronised and
-// the connection must be dropped. All length arithmetic is 64-bit, so an
-// untrusted 32-bit length cannot wrap a size computation (the PR 7 house
-// rule), and nothing is allocated from a length that has not been checked
-// against its cap first.
+// append_frame renders a frame straight onto the end of a caller's buffer
+// (csmd appends every reply to its connection's output buffer, so a frame
+// is written once and never copied again). FrameReader incrementally
+// reassembles frames from arbitrary read boundaries — a transport may
+// deliver half a header, three frames at once, or one byte at a time, and
+// the reader produces the identical frame sequence regardless. A transport
+// can read straight into the reader's buffer (prepare/commit), and
+// next_view() parses each frame in place, so an inbound byte is copied
+// once, by the read itself, before the payload decoder reads it. Corrupt
+// input (bad magic/version/type, an id or payload length beyond its cap, a
+// CRC mismatch) throws FrameError naming the offending field and the
+// absolute stream offset; after a FrameError the byte stream is
+// desynchronised and the connection must be dropped. All length arithmetic
+// is 64-bit, so an untrusted 32-bit length cannot wrap a size computation,
+// and nothing is allocated from a length that has not been checked against
+// its cap first.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +38,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace csm::net {
@@ -83,6 +89,15 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
+/// A frame parsed in place by FrameReader::next_view(): `node` and
+/// `payload` point into the reader's buffer and stay valid until the
+/// reader's next feed(), prepare(), next() or next_view() call.
+struct FrameView {
+  FrameType type = FrameType::kOk;
+  std::string_view node;
+  std::span<const std::uint8_t> payload;
+};
+
 /// Framing/corruption error: the message names the offending field and the
 /// absolute stream offset of the defect.
 class FrameError : public std::runtime_error {
@@ -90,49 +105,51 @@ class FrameError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Encodes one frame (header, id, payload, trailing CRC). Throws
-/// std::invalid_argument when the node id or payload exceeds its cap —
-/// writers validate at the edge so a reader never sees our own oversized
-/// frames.
+/// Appends one encoded frame (header, id, payload, trailing CRC over that
+/// frame's bytes only) to the end of `out`, leaving the bytes already there
+/// untouched. Throws std::invalid_argument, appending nothing, for an
+/// unknown type or a node id or payload beyond its cap — writers validate
+/// at the edge so a reader never sees our own oversized frames.
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::string_view node,
+                  std::span<const std::uint8_t> payload);
+
+/// append_frame into a fresh buffer.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
-/// Accumulates encoded frames into one contiguous buffer, so a transport
-/// write can flush several messages per syscall.
-class FrameWriter {
- public:
-  /// Appends `frame` to the buffer. Same validation as encode_frame.
-  void write(const Frame& frame);
-
-  const std::vector<std::uint8_t>& buffer() const noexcept { return buf_; }
-  std::size_t size() const noexcept { return buf_.size(); }
-  bool empty() const noexcept { return buf_.empty(); }
-  void clear() noexcept { buf_.clear(); }
-  /// Moves the accumulated bytes out, leaving the writer empty.
-  std::vector<std::uint8_t> take() noexcept;
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Incremental frame reassembler. feed() raw transport bytes in whatever
-/// chunks arrive; next() yields completed frames in order. Header fields
-/// are validated as soon as their bytes are present, so a poisoned length
-/// fails fast instead of waiting for gigabytes that never come.
+/// Incremental frame reassembler. Hand it raw transport bytes in whatever
+/// chunks arrive — feed() a copy, or read straight into prepare() and
+/// commit() the count — and next_view()/next() yield completed frames in
+/// order. Header fields are validated as soon as their bytes are present,
+/// so a poisoned length fails fast instead of waiting for gigabytes that
+/// never come.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_payload = kMaxFramePayload)
       : max_payload_(max_payload) {}
 
-  /// Appends raw bytes from the transport.
+  /// Appends raw bytes from the transport: prepare, copy, commit.
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Extracts the next complete frame, or std::nullopt when more bytes are
-  /// needed. Throws FrameError on corrupt input; the reader (and the
-  /// stream it was fed from) is unusable afterwards.
+  /// Writable room for `n` more bytes after the buffered ones, for
+  /// a transport to read into directly; commit() then says how many it
+  /// wrote. Compacts consumed frames first, so views from next_view() die.
+  std::span<std::uint8_t> prepare(std::size_t n);
+
+  /// Appends the first `n` bytes of the last prepare() span to the buffered
+  /// stream. Throws std::invalid_argument if `n` exceeds that span.
+  void commit(std::size_t n);
+
+  /// Parses the next complete frame in place, or std::nullopt when more
+  /// bytes are needed. Throws FrameError on corrupt input; the reader (and
+  /// the stream it was fed from) is unusable afterwards.
+  std::optional<FrameView> next_view();
+
+  /// next_view() copied into an owning Frame.
   std::optional<Frame> next();
 
   /// Bytes fed but not yet consumed as complete frames.
-  std::size_t buffered() const noexcept { return buf_.size() - head_; }
+  std::size_t buffered() const noexcept { return end_ - head_; }
 
   /// True when no partial frame is pending — a transport EOF here is a
   /// clean close, anywhere else a truncated frame.
@@ -147,8 +164,11 @@ class FrameReader {
                          const std::string& detail) const;
 
   std::size_t max_payload_;
+  /// [head_, end_) is the buffered stream; [end_, buf_.size()) is room for
+  /// prepare(), kept across calls so steady-state reads never allocate.
   std::vector<std::uint8_t> buf_;
   std::size_t head_ = 0;  ///< Consumed prefix of buf_ (compacted lazily).
+  std::size_t end_ = 0;   ///< End of the committed bytes.
   std::uint64_t stream_offset_ = 0;
 };
 

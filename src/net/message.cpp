@@ -246,16 +246,21 @@ std::vector<std::uint8_t> encode_drain_response(const DrainResponse& msg) {
     throw std::invalid_argument(
         "encode_drain_response: too many signatures for one frame");
   }
-  std::vector<std::uint8_t> out;
-  append_u64(out, msg.dropped);
-  append_u32(out, static_cast<std::uint32_t>(msg.signatures.size()));
+  std::size_t bytes = 8 + 4;
   for (const std::vector<double>& sig : msg.signatures) {
     if (sig.size() > kU32Max) {
       throw std::invalid_argument(
           "encode_drain_response: signature too long for one frame");
     }
+    bytes += 4 + sig.size() * sizeof(double);
+  }
+  std::vector<std::uint8_t> out;
+  out.reserve(bytes);
+  append_u64(out, msg.dropped);
+  append_u32(out, static_cast<std::uint32_t>(msg.signatures.size()));
+  for (const std::vector<double>& sig : msg.signatures) {
     append_u32(out, static_cast<std::uint32_t>(sig.size()));
-    for (double v : sig) append_f64(out, v);
+    common::wire::append_f64s(out, sig);
   }
   return out;
 }

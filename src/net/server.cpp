@@ -31,10 +31,10 @@ std::size_t FleetServer::node_index(const std::string& name) const {
   return lookup(name);
 }
 
-std::size_t FleetServer::lookup(const std::string& node) const {
+std::size_t FleetServer::lookup(std::string_view node) const {
   const auto it = nodes_.find(node);
   if (it == nodes_.end()) {
-    throw std::invalid_argument("unknown node \"" + node + "\"");
+    throw std::invalid_argument("unknown node \"" + std::string(node) + "\"");
   }
   return it->second;
 }
@@ -70,18 +70,18 @@ bool FleetServer::poll_once(int timeout_ms) {
 }
 
 bool FleetServer::service(Client& client) {
-  std::uint8_t chunk[16 * 1024];
   bool eof = false;
   while (client.conn->is_open() && !client.closing) {
-    const std::size_t n = client.conn->read_some(chunk);
+    const std::size_t n =
+        client.conn->read_some(client.reader.prepare(kReadSize));
     if (n == 0) {
       eof = !client.conn->is_open();
       break;
     }
-    client.reader.feed({chunk, n});
+    client.reader.commit(n);
     try {
-      while (std::optional<Frame> frame = client.reader.next()) {
-        handle_frame(client, *std::move(frame));
+      while (std::optional<FrameView> frame = client.reader.next_view()) {
+        handle_frame(client, *frame);
       }
     } catch (const FrameError& e) {
       // The byte stream is desynchronised: one parting diagnostic, then
@@ -105,15 +105,9 @@ bool FleetServer::service(Client& client) {
   return client.conn->is_open();
 }
 
-void FleetServer::reply(Client& client, FrameType type,
-                        const std::string& node,
-                        std::vector<std::uint8_t> payload) {
-  Frame frame;
-  frame.type = type;
-  frame.node = node;
-  frame.payload = std::move(payload);
-  const std::vector<std::uint8_t> encoded = encode_frame(frame);
-  client.out.insert(client.out.end(), encoded.begin(), encoded.end());
+void FleetServer::reply(Client& client, FrameType type, std::string_view node,
+                        std::span<const std::uint8_t> payload) {
+  append_frame(client.out, type, node, payload);
 }
 
 void FleetServer::flush(Client& client) {
@@ -129,7 +123,7 @@ void FleetServer::flush(Client& client) {
   }
 }
 
-void FleetServer::handle_frame(Client& client, Frame&& frame) {
+void FleetServer::handle_frame(Client& client, const FrameView& frame) {
   ++frames_;
   try {
     switch (frame.type) {
@@ -145,7 +139,7 @@ void FleetServer::handle_frame(Client& client, Frame&& frame) {
       case FrameType::kNodeRemove: {
         const std::size_t index = lookup(frame.node);
         engine_.remove_node(index);
-        nodes_.erase(frame.node);
+        nodes_.erase(nodes_.find(frame.node));
         reply(client, FrameType::kOk, frame.node, encode_ok(index));
         break;
       }
@@ -182,12 +176,13 @@ void FleetServer::handle_frame(Client& client, Frame&& frame) {
   }
 }
 
-void FleetServer::handle_node_add(Client& client, const Frame& frame) {
+void FleetServer::handle_node_add(Client& client, const FrameView& frame) {
   if (frame.node.empty()) {
     throw std::invalid_argument("node-add: empty node name");
   }
-  if (const auto it = nodes_.find(frame.node); it != nodes_.end()) {
-    throw std::invalid_argument("node-add: node \"" + frame.node +
+  std::string name(frame.node);
+  if (const auto it = nodes_.find(name); it != nodes_.end()) {
+    throw std::invalid_argument("node-add: node \"" + name +
                                 "\" already exists (index " +
                                 std::to_string(it->second) + ")");
   }
@@ -208,10 +203,10 @@ void FleetServer::handle_node_add(Client& client, const Frame& frame) {
     method = options_.pack->load(msg.pack_id, *options_.registry);
   }
   const std::size_t index =
-      engine_.add_node(frame.node, std::move(method), msg.n_sensors);
-  nodes_.emplace(frame.node, index);
+      engine_.add_node(name, std::move(method), msg.n_sensors);
+  const auto added = nodes_.emplace(std::move(name), index).first;
   if (options_.on_node_add) {
-    options_.on_node_add(index, frame.node, msg.n_sensors);
+    options_.on_node_add(index, added->first, msg.n_sensors);
   }
   reply(client, FrameType::kOk, frame.node, encode_ok(index));
 }

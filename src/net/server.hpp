@@ -11,10 +11,13 @@
 //
 // Threading: the server itself is single-threaded — one run() loop owns
 // every connection, with per-connection read buffers reassembling frames
-// across arbitrary read boundaries. Clients are concurrent with each other
-// only through the transport; the engine additionally tolerates external
-// threads (the loopback soak test drains from one while the server
-// ingests). stop() is safe from a signal handler or another thread.
+// across arbitrary read boundaries. Each connection reads straight into its
+// FrameReader's buffer, frames are handled as views into it, and replies
+// are appended straight onto the connection's output buffer. Clients are
+// concurrent with each other only through the transport; the engine
+// additionally tolerates external threads (the loopback soak test drains
+// from one while the server ingests). stop() is safe from a signal handler
+// or another thread.
 //
 // Per-node backpressure is the engine's StreamOptions::max_pending policy:
 // a slow draining client costs the node its OLDEST queued signatures (and
@@ -35,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -108,6 +112,10 @@ class FleetServer {
   std::size_t node_index(const std::string& name) const;
 
  private:
+  /// Bytes asked of each read_some: the room prepared in a connection's
+  /// FrameReader per read.
+  static constexpr std::size_t kReadSize = 16 * 1024;
+
   struct Client {
     std::unique_ptr<Connection> conn;
     FrameReader reader;
@@ -125,20 +133,31 @@ class FleetServer {
   void accept_pending();
   /// Reads everything a client has, handles complete frames, flushes.
   bool service(Client& client);
-  void handle_frame(Client& client, Frame&& frame);
-  void handle_node_add(Client& client, const Frame& frame);
-  void reply(Client& client, FrameType type, const std::string& node,
-             std::vector<std::uint8_t> payload);
+  void handle_frame(Client& client, const FrameView& frame);
+  void handle_node_add(Client& client, const FrameView& frame);
+  /// Appends one frame to the client's unflushed output.
+  void reply(Client& client, FrameType type, std::string_view node,
+             std::span<const std::uint8_t> payload);
   void flush(Client& client);
   /// Engine index for `node`, throwing std::invalid_argument (a semantic,
   /// connection-preserving error) when the name is unknown or removed.
-  std::size_t lookup(const std::string& node) const;
+  std::size_t lookup(std::string_view node) const;
+
+  /// Lets nodes_ be searched by a string_view into the read buffer
+  /// without building a std::string per frame.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
 
   std::unique_ptr<Listener> listener_;
   core::StreamEngine& engine_;
   FleetServerOptions options_;
   std::vector<std::unique_ptr<Client>> clients_;
-  std::unordered_map<std::string, std::size_t> nodes_;
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      nodes_;
   std::atomic<bool> stop_{false};
   std::uint64_t frames_ = 0;
 };

@@ -96,7 +96,7 @@ class Listener {
 // ---------------------------------------------------------------------------
 // Blocking frame helpers — the client-side edge (csmcli push/fleet-stats,
 // tests). The server loop never blocks per-connection and uses
-// FrameReader/FrameWriter directly instead.
+// FrameReader::prepare/next_view and append_frame directly instead.
 // ---------------------------------------------------------------------------
 
 /// Writes all of `bytes`, waiting for writability as needed. Throws

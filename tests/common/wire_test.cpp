@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "common/cpu.hpp"
+#include "common/matrix_view.hpp"
 #include "common/rng.hpp"
 
 namespace csm::common::wire {
@@ -112,6 +115,49 @@ TEST(Crc32, UnavailablePathThrows) {
   if (!cpu_has(Isa::kPclmul)) {
     EXPECT_THROW(crc32_with(Isa::kPclmul, bytes_of("x"), 0),
                  std::invalid_argument);
+  }
+}
+
+TEST(AppendF64s, MatchesAppendF64ValueByValue) {
+  const std::vector<double> values = {
+      -0.0, 1.5, std::bit_cast<double>(0x7ff8000000000001ull),
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min()};
+  std::vector<std::uint8_t> bulk = {0xaa};
+  append_f64s(bulk, values);
+  append_f64s(bulk, {});
+  std::vector<std::uint8_t> one_by_one = {0xaa};
+  for (const double v : values) append_f64(one_by_one, v);
+  EXPECT_EQ(bulk, one_by_one);
+}
+
+// Column segments append as they lie, a row-major view gathers: both give
+// append_f64 column after column.
+TEST(AppendF64Columns, EveryLayoutAppendsColumnAfterColumn) {
+  const std::size_t rows = 3;
+  const std::size_t cols = 5;
+  std::vector<double> col_major(rows * cols);
+  for (std::size_t i = 0; i < col_major.size(); ++i) {
+    col_major[i] = 0.5 * static_cast<double>(i) - 3.0;
+  }
+  std::vector<double> row_major(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      row_major[r * cols + c] = col_major[c * rows + r];
+    }
+  }
+  std::vector<std::uint8_t> expected;
+  for (const double v : col_major) append_f64(expected, v);
+
+  const std::span<const double> all(col_major);
+  for (const MatrixView& view :
+       {MatrixView::column_major(col_major.data(), rows, cols),
+        MatrixView::column_segments(all.first(2 * rows), all.subspan(2 * rows),
+                                    rows),
+        MatrixView::row_major(row_major.data(), rows, cols)}) {
+    std::vector<std::uint8_t> out;
+    append_f64_columns(out, view);
+    EXPECT_EQ(out, expected);
   }
 }
 

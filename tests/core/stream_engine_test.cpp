@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/tuncer.hpp"
@@ -225,6 +227,28 @@ TEST(StreamEngine, RemoveNodeTombstonesTheSlot) {
 
   // A new node reuses no index: slots are append-only.
   EXPECT_EQ(engine.add_node("c", cs_method(train(a), kCs)), 2u);
+}
+
+// ingest, drain and pending check liveness under the node lock they use,
+// and all three name the removed node the same way.
+TEST(StreamEngine, RemovedNodeErrorsNameTheNode) {
+  StreamEngine engine(engine_options());
+  const common::Matrix a = node_matrix(4, 60, 21);
+  engine.add_node("a", cs_method(train(a), kCs));
+  engine.remove_node(0);
+  const std::string expected = "StreamEngine: node 0 (\"a\") has been removed";
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message_of([&] { engine.ingest(0, a); }), expected);
+  EXPECT_EQ(message_of([&] { engine.drain(0); }), expected);
+  EXPECT_EQ(message_of([&] { (void)engine.pending(0); }), expected);
+  EXPECT_EQ(message_of([&] { (void)engine.stream(0); }), expected);
 }
 
 TEST(StreamEngine, RemovedNodeCountersStayInStats) {

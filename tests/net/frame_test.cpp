@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -18,6 +19,38 @@ Frame sample_frame() {
   frame.node = "node17";
   frame.payload = {0x01, 0x02, 0x03, 0xfe, 0x00, 0xff};
   return frame;
+}
+
+// Three frames back to back: a sample batch, a drain request with no
+// payload and an ok with no node id.
+std::vector<std::uint8_t> three_frame_stream() {
+  std::vector<std::uint8_t> wire = encode_frame(sample_frame());
+  append_frame(wire, FrameType::kDrainRequest, "other", {});
+  const std::vector<std::uint8_t> ok = {0x01, 0x2a, 0, 0, 0, 0, 0, 0, 0};
+  append_frame(wire, FrameType::kOk, "", ok);
+  return wire;
+}
+
+Frame copy_of(const FrameView& view) {
+  return Frame{view.type, std::string(view.node),
+               {view.payload.begin(), view.payload.end()}};
+}
+
+std::vector<Frame> drain_views(FrameReader& reader) {
+  std::vector<Frame> frames;
+  while (std::optional<FrameView> view = reader.next_view()) {
+    frames.push_back(copy_of(*view));
+  }
+  return frames;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
 }
 
 std::vector<Frame> drain_all(FrameReader& reader) {
@@ -67,18 +100,7 @@ TEST(FrameCodec, EncodeRejectsOversizedIdAndPayload) {
 // sequence must not depend on the read boundaries the transport happened
 // to deliver.
 TEST(FrameReader, ByteAtATimeMatchesOneShot) {
-  FrameWriter writer;
-  writer.write(sample_frame());
-  Frame second;
-  second.type = FrameType::kDrainRequest;
-  second.node = "other";
-  writer.write(second);
-  Frame third;
-  third.type = FrameType::kOk;
-  third.payload = {0x01, 0x2a, 0, 0, 0, 0, 0, 0, 0};
-  writer.write(third);
-  const std::vector<std::uint8_t> wire = writer.buffer();
-
+  const std::vector<std::uint8_t> wire = three_frame_stream();
   FrameReader one_shot;
   one_shot.feed(wire);
   const auto expected = drain_all(one_shot);
@@ -230,14 +252,153 @@ TEST(FrameReader, ErrorOffsetsAreAbsoluteAcrossFrames) {
   }
 }
 
-TEST(FrameWriter, TakeMovesBytesOutAndResets) {
-  FrameWriter writer;
-  writer.write(sample_frame());
-  EXPECT_FALSE(writer.empty());
-  const std::vector<std::uint8_t> taken = writer.take();
-  EXPECT_EQ(taken, encode_frame(sample_frame()));
-  EXPECT_TRUE(writer.empty());
-  EXPECT_EQ(writer.size(), 0u);
+TEST(AppendFrame, AfterExistingBytesMatchesEncodeFrame) {
+  const std::vector<std::uint8_t> prefix = {'j', 'u', 'n', 'k', 0x00, 0xff};
+  std::vector<std::uint8_t> out = prefix;
+  const Frame frame = sample_frame();
+  append_frame(out, frame.type, frame.node, frame.payload);
+
+  const std::vector<std::uint8_t> alone = encode_frame(frame);
+  ASSERT_EQ(out.size(), prefix.size() + alone.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+  EXPECT_TRUE(std::equal(alone.begin(), alone.end(),
+                         out.begin() + static_cast<std::ptrdiff_t>(
+                                           prefix.size())));
+  // The trailer covers the appended frame only, never the bytes before it.
+  const std::size_t crc_at = out.size() - kFrameTrailerSize;
+  const std::uint32_t stored = common::wire::load_u32(&out[crc_at]);
+  EXPECT_EQ(stored, common::wire::crc32(
+                        {out.data() + prefix.size(), crc_at - prefix.size()}));
+  EXPECT_NE(stored, common::wire::crc32({out.data(), crc_at}));
+
+  FrameReader reader;
+  reader.feed({out.data() + prefix.size(), alone.size()});
+  const auto got = drain_all(reader);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], frame);
+}
+
+TEST(AppendFrame, RejectedFrameAppendsNothing) {
+  std::vector<std::uint8_t> out = {1, 2, 3};
+  const std::string long_id(kMaxNodeIdBytes + 1, 'x');
+  EXPECT_THROW(append_frame(out, FrameType::kOk, long_id, {}),
+               std::invalid_argument);
+  EXPECT_THROW(append_frame(out, static_cast<FrameType>(0xee), "", {}),
+               std::invalid_argument);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{1, 2, 3}));
+}
+
+// The bytes of one drain-response frame, pinned so a change to the frame
+// writer cannot change the wire.
+TEST(AppendFrame, MatchesPinnedWireBytes) {
+  const std::vector<std::uint8_t> payload =
+      from_hex("0100000000000000" "01000000" "02000000"
+               "000000000000d03f" "00000000000000c0");
+  std::vector<std::uint8_t> out;
+  append_frame(out, FrameType::kDrainResponse, "n7", payload);
+  EXPECT_EQ(out, from_hex("43534d4601050200200000006e37010000000000000001000000"
+                          "02000000000000000000d03f00000000000000c07c8f9b69"));
+}
+
+// next_view() parses the same frames next() copies out, wherever the
+// stream is cut into three feeds.
+TEST(FrameReader, NextViewMatchesNextForEverySplit) {
+  const std::vector<std::uint8_t> wire = three_frame_stream();
+  FrameReader whole;
+  whole.feed(wire);
+  const auto expected = drain_all(whole);
+  ASSERT_EQ(expected.size(), 3u);
+
+  const std::span<const std::uint8_t> bytes(wire);
+  for (std::size_t i = 0; i <= wire.size(); ++i) {
+    for (std::size_t j = i; j <= wire.size(); ++j) {
+      FrameReader by_copy;
+      FrameReader by_view;
+      std::vector<Frame> copied;
+      std::vector<Frame> viewed;
+      for (const auto piece : {bytes.subspan(0, i), bytes.subspan(i, j - i),
+                               bytes.subspan(j)}) {
+        by_copy.feed(piece);
+        by_view.feed(piece);
+        for (Frame& f : drain_all(by_copy)) copied.push_back(std::move(f));
+        for (Frame& f : drain_views(by_view)) viewed.push_back(std::move(f));
+      }
+      ASSERT_EQ(copied, expected) << "split at " << i << ", " << j;
+      ASSERT_EQ(viewed, expected) << "split at " << i << ", " << j;
+      EXPECT_EQ(by_view.stream_offset(), by_copy.stream_offset());
+      EXPECT_TRUE(by_view.at_frame_boundary());
+    }
+  }
+}
+
+// A reader a transport reads straight into (prepare, short reads, commit)
+// yields what feed() does, including when a partial frame is held while the
+// consumed prefix passes the compaction threshold.
+TEST(FrameReader, PrepareCommitMatchesFeed) {
+  Frame big;
+  big.type = FrameType::kSampleBatch;
+  big.node = "big";
+  big.payload.resize(kFrameHeaderSize + kMaxNodeIdBytes + 500);
+  for (std::size_t i = 0; i < big.payload.size(); ++i) {
+    big.payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  std::vector<std::uint8_t> wire = encode_frame(big);
+  const std::vector<std::uint8_t> tail = three_frame_stream();
+  wire.insert(wire.end(), tail.begin(), tail.end());
+
+  FrameReader fed;
+  fed.feed(wire);
+  const auto expected = drain_all(fed);
+  ASSERT_EQ(expected.size(), 4u);
+
+  for (const std::size_t read_size : {1u, 7u, 64u, 4096u}) {
+    FrameReader direct;
+    std::vector<Frame> got;
+    std::size_t at = 0;
+    while (at < wire.size()) {
+      // Room for more than the read delivers: a short read commits less.
+      const std::span<std::uint8_t> room = direct.prepare(read_size + 3);
+      ASSERT_GE(room.size(), read_size + 3);
+      const std::size_t n = std::min(read_size, wire.size() - at);
+      std::copy_n(wire.begin() + static_cast<std::ptrdiff_t>(at), n,
+                  room.begin());
+      direct.commit(n);
+      at += n;
+      for (Frame& f : drain_views(direct)) got.push_back(std::move(f));
+    }
+    EXPECT_EQ(got, expected) << "read size " << read_size;
+    EXPECT_EQ(direct.stream_offset(), wire.size());
+    EXPECT_TRUE(direct.at_frame_boundary());
+  }
+
+  // The big frame and part of the next one arrive together: consuming the
+  // big frame moves the head past the compaction threshold while the
+  // partial frame waits, and the next prepare() must keep its bytes.
+  const std::size_t split = encode_frame(big).size() + 5;
+  FrameReader held;
+  const std::span<std::uint8_t> first = held.prepare(split);
+  std::copy_n(wire.begin(), split, first.begin());
+  held.commit(split);
+  std::vector<Frame> got = drain_views(held);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(held.buffered(), 5u);
+  const std::size_t rest = wire.size() - split;
+  const std::span<std::uint8_t> second = held.prepare(rest);
+  EXPECT_EQ(held.buffered(), 5u);
+  std::copy_n(wire.begin() + static_cast<std::ptrdiff_t>(split), rest,
+              second.begin());
+  held.commit(rest);
+  for (Frame& f : drain_views(held)) got.push_back(std::move(f));
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(held.stream_offset(), wire.size());
+}
+
+TEST(FrameReader, CommitBeyondPreparedThrows) {
+  FrameReader reader;
+  const std::span<std::uint8_t> room = reader.prepare(8);
+  EXPECT_THROW(reader.commit(room.size() + 1), std::invalid_argument);
+  reader.commit(0);
+  EXPECT_TRUE(reader.at_frame_boundary());
 }
 
 TEST(FrameCodec, TypeNamesAreStable) {

@@ -262,6 +262,62 @@ TEST(DrainResponse, RejectsCountBeyondPayload) {
   EXPECT_THROW(decode_drain_response(payload), MessageError);
 }
 
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// Wire bytes pinned from the value-at-a-time encoder the bulk copy
+// replaced: every bit of every double survives, signs of zero and NaN
+// payloads included.
+TEST(DrainResponse, EmptyListMatchesPinnedBytes) {
+  EXPECT_EQ(hex_of(encode_drain_response(DrainResponse{})),
+            "0000000000000000" "00000000");
+}
+
+TEST(DrainResponse, EmptySignatureMatchesPinnedBytes) {
+  DrainResponse msg;
+  msg.dropped = 0x0102030405060708ULL;
+  msg.signatures = {{}};
+  EXPECT_EQ(hex_of(encode_drain_response(msg)),
+            "0807060504030201" "01000000" "00000000");
+}
+
+TEST(DrainResponse, SpecialValuesMatchPinnedBytes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  DrainResponse msg;
+  msg.dropped = 3;
+  msg.signatures = {
+      {-0.0, std::bit_cast<double>(0x7ff8000000000001ULL),
+       std::bit_cast<double>(0xfff0000000000abcULL)},
+      {kInf, -kInf, std::numeric_limits<double>::denorm_min(),
+       -std::bit_cast<double>(0x000fffffffffffffULL)},
+      {},
+      {1.5}};
+  EXPECT_EQ(hex_of(encode_drain_response(msg)),
+            "0300000000000000" "04000000"
+            "03000000" "0000000000000080" "010000000000f87f"
+            "bc0a00000000f0ff"
+            "04000000" "000000000000f07f" "000000000000f0ff"
+            "0100000000000000" "ffffffffffff0f80"
+            "00000000"
+            "01000000" "000000000000f83f");
+  const DrainResponse back = decode_drain_response(encode_drain_response(msg));
+  ASSERT_EQ(back.signatures.size(), msg.signatures.size());
+  for (std::size_t i = 0; i < msg.signatures.size(); ++i) {
+    ASSERT_EQ(back.signatures[i].size(), msg.signatures[i].size());
+    for (std::size_t j = 0; j < msg.signatures[i].size(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.signatures[i][j]),
+                std::bit_cast<std::uint64_t>(msg.signatures[i][j]));
+    }
+  }
+}
+
 TEST(StatsResponse, RoundTripsCountersVersionAndHistogram) {
   core::EngineStats stats;
   stats.samples = 1000;
